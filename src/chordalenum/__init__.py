@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .completions import (Completion, flip, flip_graph, is_chordal_completion,
-                          is_minimal, minimal_completion_root,
-                          neighbor_completions, proximity, prune,
-                          removable_edges, removable_edges_by_retest,
-                          removal_order, successor)
-from .engine import (ProximitySearchError, SetSystem, TraversalState,
-                     TraversalStats, canonical_path, children,
-                     chordal_completion_system, compare_solutions,
-                     enumerate_reverse_search, enumerate_visited_set,
+from .completions import (Completion, flip, is_chordal_completion, is_minimal,
+                          minimal_completion_root, neighbor_completions,
+                          proximity, prune, removable_edges, removal_order,
+                          successor)
+from .engine import (ProximitySearchError, SetSystem, TraversalStats,
+                     canonical_path, children, chordal_completion_system,
                      next_toward, parent, reverse_search, visited_set_search)
 from .graph import (Edge, Graph, GraphInputError, build_graph,
                     common_neighborhood, find_chordless_cycle, is_chordal,
@@ -35,17 +32,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Completion", "Edge", "Graph", "GraphInputError", "ProximitySearchError",
-    "SetSystem", "SolutionSet", "TraversalState", "TraversalStats",
-    "VerificationReport", "brute_force_minimal_completions", "build_graph",
-    "canonical_path", "children", "chordal_completion_system",
-    "common_neighborhood", "compare_solutions", "enumerate_reverse_search",
-    "enumerate_visited_set", "find_chordless_cycle", "flip", "flip_graph",
-    "is_chordal", "is_chordal_completion", "is_minimal",
-    "minimal_chordal_completions", "minimal_completion_root",
+    "SetSystem", "SolutionSet", "TraversalStats", "VerificationReport",
+    "brute_force_minimal_completions", "build_graph", "canonical_path",
+    "children", "chordal_completion_system", "common_neighborhood",
+    "find_chordless_cycle", "flip", "is_chordal", "is_chordal_completion",
+    "is_minimal", "minimal_chordal_completions", "minimal_completion_root",
     "neighbor_completions", "next_toward", "non_edges", "parent", "proximity",
-    "prune", "removable_edges", "removable_edges_by_retest", "removal_order",
-    "reverse_search", "successor", "verify_solution_set",
-    "visited_set_search",
+    "prune", "removable_edges", "removal_order", "reverse_search", "successor",
+    "verify_solution_set", "visited_set_search",
 ]
 
 

@@ -12,15 +12,18 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import statistics
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO
+from itertools import islice
+from typing import Optional, TextIO
 
+from . import minimal_chordal_completions
 from .completions import Completion
-from .engine import (SetSystem, TraversalStats, chordal_completion_system,
-                     reverse_search, visited_set_search)
+from .engine import (TraversalStats, chordal_completion_system, reverse_search,
+                     visited_set_search)
 from .graph import Graph, GraphInputError, non_edges
 from .oracle import (DEFAULT_GROUND_LIMIT, SolutionSet,
                      brute_force_minimal_completions, verify_solution_set)
@@ -152,13 +155,6 @@ def _format_jsonline(f: Completion, labels: tuple[str, ...]) -> str:
         separators=(",", ":"))
 
 
-def _solutions(system: SetSystem, mode: str,
-               stats: TraversalStats) -> Iterator[Completion]:
-    if mode == "reverse_search":
-        return reverse_search(system, stats)
-    return visited_set_search(system, stats)
-
-
 def _print_stats(stats: TraversalStats, out: TextIO) -> None:
     for name, value in stats.as_dict().items():
         print(f"{name}={value}", file=out)
@@ -166,15 +162,11 @@ def _print_stats(stats: TraversalStats, out: TextIO) -> None:
 
 def _cmd_enumerate(config: RunConfig, out: TextIO, err: TextIO) -> int:
     g, labels = parse_graph_input(config.text, config.input_format)
-    system = chordal_completion_system(g)
     stats = TraversalStats()
     fmt = _format_jsonline if config.output_format == "jsonlines" else _format_edges
-    emitted = 0
-    for f in _solutions(system, config.mode, stats):
+    for f in islice(minimal_chordal_completions(g, config.mode, stats),
+                    config.limit):
         print(fmt(f, labels), file=out)
-        emitted += 1
-        if config.limit is not None and emitted >= config.limit:
-            break
     if config.stats:
         _print_stats(stats, err)
     return 0
@@ -182,13 +174,9 @@ def _cmd_enumerate(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _cmd_count(config: RunConfig, out: TextIO, err: TextIO) -> int:
     g, _ = parse_graph_input(config.text, config.input_format)
-    system = chordal_completion_system(g)
     stats = TraversalStats()
-    count = 0
-    for _ in _solutions(system, config.mode, stats):
-        count += 1
-        if config.limit is not None and count >= config.limit:
-            break
+    count = sum(1 for _ in islice(
+        minimal_chordal_completions(g, config.mode, stats), config.limit))
     print(count, file=out)
     if config.stats:
         _print_stats(stats, err)
@@ -228,21 +216,19 @@ def _cmd_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 def _cmd_bench(config: RunConfig, out: TextIO, err: TextIO) -> int:
     g, _ = parse_graph_input(config.text, config.input_format)
-    system = chordal_completion_system(g)
     stats = TraversalStats()
     gaps = []
-    it = _solutions(system, config.mode, stats)
+    it = islice(minimal_chordal_completions(g, config.mode, stats),
+                config.limit)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         start = time.perf_counter()
         last = start
-        for count, _ in enumerate(it, start=1):
+        for _ in it:
             now = time.perf_counter()
             gaps.append(now - last)
             last = now
-            if config.limit is not None and count >= config.limit:
-                break
         total = last - start
     finally:
         if gc_was_enabled:
@@ -266,13 +252,15 @@ def _cmd_bench(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise GraphInputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphInputError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,6 +314,10 @@ def run(config: RunConfig, out: Optional[TextIO] = None,
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    if config.limit is not None and config.limit < 0:
+        print(f"error: --limit must be nonnegative, got {config.limit}",
+              file=err)
+        return 2
     try:
         if config.command == "enumerate":
             return _cmd_enumerate(config, out, err)
@@ -358,7 +350,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         stats=getattr(args, "stats", False),
         oracle_limit=getattr(args, "oracle_limit", DEFAULT_GROUND_LIMIT),
     )
-    return run(config)
+    try:
+        code = run(config)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. ``| head``); nothing failed.  Point
+        # stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -13,8 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (Edge, Graph, GraphInputError, _is_chordal_masks,
-                    _iter_bits, _mask_is_clique, non_edge_incidence,
-                    non_edge_index, non_edges)
+                    _iter_bits, non_edge_incidence, non_edge_index, non_edges)
 
 
 class Completion:
@@ -70,13 +69,7 @@ class Completion:
 
     def supergraph_masks(self) -> list[int]:
         """Adjacency bitmasks of the filled graph (a fresh mutable list)."""
-        masks = list(self.base.adj_masks)
-        ne = non_edges(self.base)
-        for i in _iter_bits(self.mask):
-            u, v = ne[i]
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return masks
+        return _filled_masks(self.base, self.mask)
 
     def supergraph(self) -> Graph:
         """The base graph with the fill edges added."""
@@ -95,6 +88,81 @@ class Completion:
     def __repr__(self) -> str:
         inside = ", ".join(f"{u}-{v}" for u, v in self.fill_edges)
         return f"Completion({{{inside}}})"
+
+
+def _filled_masks(base: Graph, mask: int) -> list[int]:
+    """Adjacency bitmasks of ``base`` plus the fill ``mask`` (a fresh
+    mutable list)."""
+    ne = non_edges(base)
+    masks = list(base.adj_masks)
+    while mask:
+        low = mask & -mask
+        u, v = ne[low.bit_length() - 1]
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        mask ^= low
+    return masks
+
+
+def _clique_fill(base: Graph, masks: list[int], x: int, y: int) -> int:
+    """Flip fill: complete the common neighborhood of ``x`` and ``y`` into a
+    clique in ``masks``, in place, and return the non-edge indices lying
+    inside it."""
+    incident = non_edge_incidence(base)
+    cn = masks[x] & masks[y]
+    within = 0
+    seen = 0
+    m = cn
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        masks[v] |= cn ^ low
+        within |= incident[v] & seen
+        seen |= incident[v]
+        m ^= low
+    return within
+
+
+def _deletions(base: Graph, masks: list[int],
+               candidates: int) -> Iterator[int]:
+    """Greedy reduction kernel.
+
+    Repeatedly finds the smallest-index non-edge in ``candidates`` whose
+    endpoints' common neighborhood in ``masks`` is a clique (so deleting it
+    keeps a chordal graph chordal), deletes it from ``masks`` in place and
+    yields its index; stops when no candidate is removable.
+    """
+    # Deleting edge (u, v) cannot unblock a pair disjoint from {u, v}: that
+    # pair's common neighborhood is unchanged and only gains violations.  So
+    # pairs once found stuck are skipped until a deletion touches one of
+    # their endpoints; the smallest removable index is the same either way.
+    ne = non_edges(base)
+    incident = non_edge_incidence(base)
+    stuck = 0
+    while True:
+        m = candidates & ~stuck
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            u, v = ne[i]
+            cn = masks[u] & masks[v]
+            c = cn
+            while c:
+                cl = c & -c
+                if cn & ~masks[cl.bit_length() - 1] & ~cl:
+                    break
+                c ^= cl
+            if not c:
+                break
+            stuck |= low
+            m ^= low
+        else:
+            return
+        masks[u] &= ~(1 << v)
+        masks[v] &= ~(1 << u)
+        candidates ^= low
+        stuck &= ~(incident[u] | incident[v])
+        yield i
 
 
 def is_chordal_completion(f: Completion) -> bool:
@@ -120,22 +188,6 @@ def _allowed_mask(f: Completion, allowed: Optional[Iterable[Edge]]) -> int:
     return mask & f.mask
 
 
-def _removable_indices_mask(f: Completion, allowed_mask: int) -> int:
-    """Fill indices in ``allowed_mask`` whose single removal keeps the
-    filled graph chordal, via the common-neighborhood clique criterion."""
-    masks = f.supergraph_masks()
-    ne = non_edges(f.base)
-    out = 0
-    m = allowed_mask
-    while m:
-        low = m & -m
-        u, v = ne[low.bit_length() - 1]
-        if _mask_is_clique(masks[u] & masks[v], masks):
-            out |= low
-        m ^= low
-    return out
-
-
 def removable_edges(f: Completion,
                     allowed: Optional[Iterable[Edge]] = None) -> frozenset[Edge]:
     """Fill edges whose individual removal keeps the completion chordal.
@@ -143,55 +195,14 @@ def removable_edges(f: Completion,
     Only edges in ``allowed`` (default: all fill edges) are considered.  A
     fill edge e = (x, y) is removable exactly when the common neighborhood of
     x and y in the filled graph induces a clique; that criterion is what this
-    function evaluates.  ``removable_edges_by_retest`` is the brute-force
-    reference that re-runs the chordality test per edge.
+    function evaluates.
     """
     _require_chordal(f, "removable_edges")
     ne = non_edges(f.base)
-    mask = _removable_indices_mask(f, _allowed_mask(f, allowed))
-    return frozenset(ne[i] for i in _iter_bits(mask))
-
-
-def removable_edges_by_retest(f: Completion,
-                              allowed: Optional[Iterable[Edge]] = None
-                              ) -> frozenset[Edge]:
-    """Reference implementation of :func:`removable_edges`: drop each edge in
-    turn and re-run the full chordality test."""
-    _require_chordal(f, "removable_edges_by_retest")
-    ne = non_edges(f.base)
-    out = []
-    for i in _iter_bits(_allowed_mask(f, allowed)):
-        g = Completion(f.base, f.mask & ~(1 << i))
-        if is_chordal_completion(g):
-            out.append(ne[i])
-    return frozenset(out)
-
-
-def _prune_mask(base: Graph, mask: int, allowed_mask: int) -> int:
-    """Greedy reduction kernel: repeatedly delete the smallest-index
-    removable fill edge within ``allowed_mask`` until none remains."""
-    ne = non_edges(base)
-    masks = list(base.adj_masks)
-    for i in _iter_bits(mask):
-        u, v = ne[i]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    while True:
-        pick = -1
-        m = allowed_mask & mask
-        while m:
-            low = m & -m
-            u, v = ne[low.bit_length() - 1]
-            if _mask_is_clique(masks[u] & masks[v], masks):
-                pick = low.bit_length() - 1
-                break
-            m ^= low
-        if pick < 0:
-            return mask
-        u, v = ne[pick]
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        mask &= ~(1 << pick)
+    masks = f.supergraph_masks()
+    return frozenset(
+        ne[i] for i in _iter_bits(_allowed_mask(f, allowed))
+        if next(_deletions(f.base, list(masks), 1 << i), None) is not None)
 
 
 def prune(f: Completion,
@@ -203,15 +214,19 @@ def prune(f: Completion,
     contained in ``f``.
     """
     _require_chordal(f, "prune")
-    return Completion(f.base, _prune_mask(f.base, f.mask,
-                                          _allowed_mask(f, allowed)))
+    mask = f.mask
+    allowed_mask = _allowed_mask(f, allowed)
+    for i in _deletions(f.base, f.supergraph_masks(), allowed_mask):
+        mask ^= 1 << i
+    return Completion(f.base, mask)
 
 
 def is_minimal(f: Completion) -> bool:
     """Whether ``f`` is a minimal chordal completion (chordal, and no fill
     edge can be dropped without breaking chordality)."""
     _require_chordal(f, "is_minimal")
-    return _removable_indices_mask(f, f.mask) == 0
+    kernel = _deletions(f.base, f.supergraph_masks(), f.mask)
+    return next(kernel, None) is None
 
 
 class RemovalTrace:
@@ -225,18 +240,17 @@ class RemovalTrace:
     cannot guarantee minimality must check it separately).
     """
 
-    __slots__ = ("_ne", "_incident", "_masks", "_remaining", "_stuck",
-                 "_seq", "_exhausted")
+    __slots__ = ("_deletions", "_length", "_seq", "_exhausted")
 
     def __init__(self, f: Completion) -> None:
         base = f.base
-        self._ne = non_edges(base)
-        self._incident = non_edge_incidence(base)
-        self._masks = [((1 << base.n) - 1) & ~(1 << v) for v in range(base.n)]
-        self._remaining = (1 << len(self._ne)) - 1 & ~f.mask
-        self._stuck = 0
+        n = base.n
+        rest = (1 << len(non_edges(base))) - 1 & ~f.mask
+        full = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+        self._deletions = _deletions(base, full, rest)
+        self._length = rest.bit_count()
         self._seq: list[int] = []
-        self._exhausted = self._remaining == 0
+        self._exhausted = self._length == 0
 
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the
@@ -263,36 +277,11 @@ class RemovalTrace:
                 self._extend()
 
     def _extend(self) -> None:
-        # Deleting edge (u, v) cannot unblock a pair disjoint from {u, v}:
-        # that pair's common neighborhood is unchanged and only gains
-        # violations.  So pairs once found stuck are skipped until a
-        # deletion touches one of their endpoints.
-        ne = self._ne
-        masks = self._masks
-        m = self._remaining & ~self._stuck
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            u, v = ne[i]
-            cn = masks[u] & masks[v]
-            c = cn
-            while c:
-                cl = c & -c
-                if cn & ~masks[cl.bit_length() - 1] & ~cl:
-                    break
-                c ^= cl
-            if not c:
-                self._seq.append(i)
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-                self._remaining &= ~low
-                self._stuck &= ~(self._incident[u] | self._incident[v])
-                if not self._remaining:
-                    self._exhausted = True
-                return
-            self._stuck |= low
-            m ^= low
-        raise ValueError("removal trace stalled: not a chordal completion")
+        i = next(self._deletions, None)
+        if i is None:
+            raise ValueError("removal trace stalled: not a chordal completion")
+        self._seq.append(i)
+        self._exhausted = len(self._seq) == self._length
 
     def force(self) -> tuple[int, ...]:
         while not self._exhausted:
@@ -311,11 +300,6 @@ class RemovalTrace:
         return hash(self.force())
 
 
-def _removal_indices(f: Completion) -> tuple[int, ...]:
-    """Full canonical removal trace of ``f``'s complement, as indices."""
-    return RemovalTrace(f).force()
-
-
 def removal_order(f: Completion) -> tuple[Edge, ...]:
     """Canonical ordering of the unfilled non-edges of a minimal completion.
 
@@ -326,19 +310,7 @@ def removal_order(f: Completion) -> tuple[Edge, ...]:
     if not is_minimal(f):
         raise ValueError("removal_order requires a minimal chordal completion")
     ne = non_edges(f.base)
-    return tuple(ne[i] for i in _removal_indices(f))
-
-
-def _proximity_indices(fill_mask: int, order: Sequence[int],
-                       start: int = 0) -> int:
-    """Proximity kernel.  ``start`` asserts the first ``start`` elements are
-    already known to avoid ``fill_mask`` and skips rescanning them."""
-    i = start
-    for pos in range(start, len(order)):
-        if fill_mask >> order[pos] & 1:
-            break
-        i += 1
-    return i
+    return tuple(ne[i] for i in RemovalTrace(f).force())
 
 
 def proximity(f: Completion, order: Sequence[Edge]) -> int:
@@ -362,27 +334,20 @@ def proximity(f: Completion, order: Sequence[Edge]) -> int:
     return i
 
 
+def _fill_index(f: Completion, e: Edge) -> int:
+    u, v = e
+    key = (u, v) if u < v else (v, u)
+    i = non_edge_index(f.base).get(key)
+    if i is None or not f.mask >> i & 1:
+        raise GraphInputError(f"({u}, {v}) is not a fill edge of this completion")
+    return i
+
+
 def _flip_mask(base: Graph, mask: int, i: int) -> int:
     """Flip kernel: drop fill index ``i`` and add every non-edge lying inside
     the common neighborhood of its endpoints in the filled graph."""
-    ne = non_edges(base)
-    masks = list(base.adj_masks)
-    for j in _iter_bits(mask):
-        u, v = ne[j]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    x, y = ne[i]
-    cn = masks[x] & masks[y]
-    incident = non_edge_incidence(base)
-    within = 0
-    seen = 0
-    m = cn
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        within |= incident[v] & seen
-        seen |= incident[v]
-        m ^= low
+    x, y = non_edges(base)[i]
+    within = _clique_fill(base, _filled_masks(base, mask), x, y)
     return (mask | within) & ~(1 << i)
 
 
@@ -393,94 +358,27 @@ def flip(f: Completion, e: Edge) -> Completion:
     When ``f`` is chordal the result is again a chordal completion; this is
     the step the enumeration uses to move between minimal completions.
     """
-    u, v = e
-    key = (u, v) if u < v else (v, u)
-    i = non_edge_index(f.base).get(key)
-    if i is None or not f.mask >> i & 1:
-        raise GraphInputError(f"({u}, {v}) is not a fill edge of this completion")
-    return Completion(f.base, _flip_mask(f.base, f.mask, i))
-
-
-def flip_graph(g: Graph, e: Edge) -> Graph:
-    """Graph-level flip: delete edge ``e`` and turn the common neighborhood
-    of its endpoints into a clique.  Preserves chordality."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphInputError(f"({u}, {v}) is not an edge of the graph")
-    cn = g.adj_masks[u] & g.adj_masks[v]
-    edges = set(g.edges)
-    edges.discard((u, v) if u < v else (v, u))
-    members = list(_iter_bits(cn))
-    for a in range(len(members)):
-        for b in range(a + 1, len(members)):
-            edges.add((members[a], members[b]))
-    return Graph(g.n, edges)
+    return Completion(f.base, _flip_mask(f.base, f.mask, _fill_index(f, e)))
 
 
 def _successor_mask(base: Graph, mask: int, i: int) -> int:
-    """Fused flip-then-reduce kernel: one adjacency build for both halves."""
-    ne = non_edges(base)
-    masks = list(base.adj_masks)
-    m = mask
-    while m:
-        low = m & -m
-        u, v = ne[low.bit_length() - 1]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        m ^= low
-    x, y = ne[i]
-    cn = masks[x] & masks[y]
-    incident = non_edge_incidence(base)
-    within = 0
-    seen = 0
-    m = cn
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        within |= incident[v] & seen
-        seen |= incident[v]
-        m ^= low
+    """Flip fill index ``i`` out of ``mask``, then greedily reduce; one
+    adjacency build serves both halves."""
+    masks = _filled_masks(base, mask)
+    x, y = non_edges(base)[i]
+    mask = (mask | _clique_fill(base, masks, x, y)) & ~(1 << i)
     masks[x] &= ~(1 << y)
     masks[y] &= ~(1 << x)
-    m = within & ~mask
-    while m:
-        low = m & -m
-        u, v = ne[low.bit_length() - 1]
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-        m ^= low
-    mask = (mask | within) & ~(1 << i)
-    while True:
-        m = mask
-        while m:
-            low = m & -m
-            u, v = ne[low.bit_length() - 1]
-            cn = masks[u] & masks[v]
-            c = cn
-            while c:
-                cl = c & -c
-                if cn & ~masks[cl.bit_length() - 1] & ~cl:
-                    break
-                c ^= cl
-            if not c:
-                masks[u] &= ~(1 << v)
-                masks[v] &= ~(1 << u)
-                mask &= ~low
-                break
-            m ^= low
-        else:
-            return mask
+    for j in _deletions(base, masks, mask):
+        mask ^= 1 << j
+    return mask
 
 
 def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
     back to a minimal one."""
-    u, v = e
-    key = (u, v) if u < v else (v, u)
-    i = non_edge_index(f.base).get(key)
-    if i is None or not f.mask >> i & 1:
-        raise GraphInputError(f"({u}, {v}) is not a fill edge of this completion")
-    return Completion(f.base, _successor_mask(f.base, f.mask, i))
+    return Completion(f.base,
+                      _successor_mask(f.base, f.mask, _fill_index(f, e)))
 
 
 def neighbor_completions(f: Completion) -> frozenset[Completion]:
@@ -497,7 +395,3 @@ def minimal_completion_root(g: Graph) -> Completion:
     """The canonical starting solution: greedy reduction of the full
     completion.  Every enumeration of minimal completions is rooted here."""
     return prune(Completion.full(g))
-
-
-def iter_fill_indices(f: Completion) -> Iterator[int]:
-    return _iter_bits(f.mask)

@@ -161,21 +161,6 @@ def next_toward(system: SetSystem, f: Any, target: Any,
                  system.proximity(f, target_order, 0))
 
 
-def compare_solutions(system: SetSystem, f1: Any, f2: Any) -> int:
-    """Order solutions by their canonical orderings: -1, 0, or 1.
-
-    This is the prefix order the canonical paths follow: every step of a
-    canonical path moves to a solution whose ordering extends a strictly
-    longer prefix of the target's ordering.
-    """
-    if f1 == f2:
-        return 0
-    o1, o2 = system.ordering(f1), system.ordering(f2)
-    if o1 == o2:
-        return 0
-    return -1 if o1 < o2 else 1
-
-
 def canonical_path(system: SetSystem, target: Any) -> list:
     """The canonical path from the root to ``target``, both ends included."""
     order = system.ordering(target)
@@ -387,27 +372,6 @@ def visited_set_search(system: SetSystem,
                 seen.add(nb)
                 queue.append(nb)
                 stats.note_retained(len(seen))
-
-
-def enumerate_reverse_search(system: SetSystem, sink: Callable[[Any], None],
-                             stats: Optional[TraversalStats] = None) -> int:
-    """Drive :func:`reverse_search` into ``sink``; returns the number of
-    solutions delivered.  A sink failure propagates unchanged."""
-    count = 0
-    for sol in reverse_search(system, stats):
-        sink(sol)
-        count += 1
-    return count
-
-
-def enumerate_visited_set(system: SetSystem, sink: Callable[[Any], None],
-                          stats: Optional[TraversalStats] = None) -> int:
-    """Drive :func:`visited_set_search` into ``sink``; returns the count."""
-    count = 0
-    for sol in visited_set_search(system, stats):
-        sink(sol)
-        count += 1
-    return count
 
 
 def _fill_index_at(mask: int, j: int) -> int:

@@ -133,18 +133,6 @@ def common_neighborhood(g: Graph, x: int, y: int) -> frozenset[int]:
     return frozenset(_iter_bits(g.adj_masks[x] & g.adj_masks[y]))
 
 
-def _mask_is_clique(mask: int, adj_masks) -> bool:
-    """Whether the vertex set ``mask`` induces a clique."""
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if mask & ~adj_masks[v] & ~low:
-            return False
-        m ^= low
-    return True
-
-
 def _is_chordal_masks(n: int, adj_masks) -> bool:
     """Chordality test on a bitmask adjacency.
 

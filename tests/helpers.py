@@ -8,7 +8,8 @@ from itertools import combinations
 
 import networkx as nx
 
-from chordalenum import Graph, SetSystem
+from chordalenum import (Completion, Graph, GraphInputError, SetSystem,
+                         is_chordal_completion)
 
 _ATLAS = None
 
@@ -113,6 +114,55 @@ def random_chordal_graph(rng: random.Random, n: int) -> Graph:
             adj[u].add(v)
             adj[v].add(u)
     return Graph(n, edges)
+
+
+def removable_edges_by_retest(f: Completion, allowed=None) -> frozenset:
+    """Reference for ``removable_edges``: drop each fill edge in turn (only
+    those in ``allowed``, default all) and re-run the full chordality
+    test."""
+    if not is_chordal_completion(f):
+        raise ValueError("removable_edges_by_retest requires a chordal "
+                         "completion")
+    fill = set(f.fill_edges)
+    if allowed is not None:
+        fill &= {(u, v) if u < v else (v, u) for u, v in allowed}
+    return frozenset(
+        e for e in fill
+        if is_chordal_completion(
+            Completion.from_edges(f.base, set(f.fill_edges) - {e})))
+
+
+def flip_graph(g: Graph, e: tuple[int, int]) -> Graph:
+    """Graph-level flip: delete edge ``e`` and turn the common neighborhood
+    of its endpoints into a clique.  Preserves chordality."""
+    u, v = e
+    if not g.has_edge(u, v):
+        raise GraphInputError(f"({u}, {v}) is not an edge of the graph")
+    members = sorted(g.adj[u] & g.adj[v])
+    edges = set(g.edges) - {(min(u, v), max(u, v))}
+    edges.update(combinations(members, 2))
+    return Graph(g.n, edges)
+
+
+def greedy_reduce_by_retest(g: Graph, fill, candidates) -> list:
+    """Reference for the greedy reduction: starting from ``g`` plus
+    ``fill``, repeatedly drop the first edge of ``candidates`` in the ground
+    (sorted non-edge) order whose removal leaves the graph chordal under
+    ``networkx.is_chordal``.  Returns the dropped edges in drop order."""
+    h = to_networkx(g)
+    h.add_edges_from(fill)
+    remaining = sorted(candidates)
+    dropped = []
+    while True:
+        for e in remaining:
+            h.remove_edge(*e)
+            if nx.is_chordal(h):
+                break
+            h.add_edge(*e)
+        else:
+            return dropped
+        remaining.remove(e)
+        dropped.append(e)
 
 
 def minimal_sets_by_subset_sweep(g: Graph) -> set[frozenset]:

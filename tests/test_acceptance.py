@@ -19,11 +19,11 @@ import pytest
 import helpers
 from chordalenum import (Completion, Graph, TraversalStats,
                          brute_force_minimal_completions, canonical_path,
-                         children, chordal_completion_system, flip_graph,
-                         is_chordal, is_chordal_completion, is_minimal,
-                         next_toward, non_edges, parent, proximity, prune,
-                         removable_edges, removal_order, reverse_search,
-                         visited_set_search)
+                         children, chordal_completion_system, is_chordal,
+                         is_chordal_completion, is_minimal, next_toward,
+                         non_edges, parent, proximity, prune, removable_edges,
+                         removal_order, reverse_search, visited_set_search)
+from helpers import flip_graph
 
 # Random cubic graph on 14 vertices (degree-3 throughout), drawn once from a
 # seeded generator and frozen; both traversals agree it has 17697 minimal
@@ -113,6 +113,7 @@ def test_criterion_2_known_cycle_counts_are_exact():
         assert sum(1 for _ in visited_set_search(system)) == count
 
 
+@pytest.mark.slow
 def test_criterion_3_no_duplicates_and_every_emission_minimal(big_instance_run):
     # External recording sets over independent runs: a seven-cycle, thirty
     # random graphs, and the full emission stream of the large instance.
@@ -228,6 +229,7 @@ def test_criterion_4_structural_invariants_hold_exactly():
         assert all(parents[kid] == f for f, kid in child_edges)
 
 
+@pytest.mark.slow
 def test_criterion_5_reverse_search_retains_constant_solutions(big_instance_run):
     run = big_instance_run
     count = len(run["emissions"])
@@ -239,6 +241,7 @@ def test_criterion_5_reverse_search_retains_constant_solutions(big_instance_run)
     assert run["vis_stats"].peak_retained >= 10000
 
 
+@pytest.mark.slow
 def test_criterion_6_delay_stays_flat_across_the_run(big_instance_run):
     gaps = big_instance_run["gaps"]
     assert len(gaps) >= 5000

@@ -116,6 +116,29 @@ def test_enumerate_limit_stops_early():
     assert len(out.strip().splitlines()) == 2
 
 
+def test_limit_zero_emits_nothing():
+    code, out, _ = _run(RunConfig(command="enumerate", text=C5_EDGE_LIST,
+                                  limit=0))
+    assert (code, out) == (0, "")
+    code, out, _ = _run(RunConfig(command="count", text=C5_EDGE_LIST,
+                                  limit=0))
+    assert (code, out) == (0, "0\n")
+    code, out, _ = _run(RunConfig(command="bench", text=C5_EDGE_LIST,
+                                  limit=0))
+    assert code == 0
+    assert "solutions=0" in out
+
+
+@pytest.mark.parametrize("command", ["enumerate", "count", "bench"])
+def test_negative_limit_exits_two(tmp_path, capsys, command):
+    path = tmp_path / "five.txt"
+    path.write_text(C5_EDGE_LIST)
+    assert main([command, str(path), "--limit", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nonnegative" in captured.err
+
+
 def test_enumerate_stats_go_to_stderr():
     config = RunConfig(command="enumerate", text=C4_EDGE_LIST, stats=True)
     code, out, err = _run(config)
@@ -220,6 +243,13 @@ def test_main_missing_file_exits_two(tmp_path, capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+def test_main_non_utf8_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    assert main(["enumerate", str(path)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_main_forwards_cli_flags(tmp_path, capsys):
     path = tmp_path / "five.col"
     path.write_text(C5_DIMACS)
@@ -237,6 +267,23 @@ def test_module_invocation_smoke():
         input=C5_EDGE_LIST, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "5\n"
+
+
+def test_enumerate_into_closed_pipe_exits_zero():
+    # C11 prints about 160 KB, more than the pipe and stdout buffers hold,
+    # so the process is still writing when the reader goes away.
+    text = "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chordalenum.cli", "enumerate", "-",
+         "--mode", "visited_set"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdin.write(text.encode())
+    proc.stdin.close()
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err
 
 
 def test_console_script_smoke():

@@ -8,11 +8,11 @@ import pytest
 
 import helpers
 from chordalenum import (Completion, Graph, GraphInputError, build_graph, flip,
-                         flip_graph, is_chordal, is_chordal_completion,
-                         is_minimal, minimal_completion_root,
-                         neighbor_completions, non_edges, proximity, prune,
-                         removable_edges, removable_edges_by_retest,
+                         is_chordal, is_chordal_completion, is_minimal,
+                         minimal_completion_root, neighbor_completions,
+                         non_edges, proximity, prune, removable_edges,
                          removal_order, successor)
+from helpers import flip_graph, removable_edges_by_retest
 
 
 @pytest.fixture
@@ -272,3 +272,27 @@ def test_neighbor_completions_are_minimal_and_exclude_self():
         for nb in neighbor_completions(f):
             assert nb != f
             assert is_minimal(nb)
+
+
+def test_kernel_matches_greedy_retest_reference():
+    """prune, successor and removal_order against an independent greedy
+    reduction that re-tests chordality with networkx after every drop, with
+    no clique criterion and no skipping of stuck pairs."""
+    rng = random.Random(1618)
+    for _ in range(200):
+        f = _random_chordal_completion(rng, rng.randint(3, 10))
+        g = f.base
+        fill = set(f.fill_edges)
+        reduced = prune(f)
+        assert set(reduced.fill_edges) == \
+            fill - set(helpers.greedy_reduce_by_retest(g, fill, fill)), f
+        some = set(f.fill_edges[::2])
+        assert set(prune(f, allowed=some).fill_edges) == \
+            fill - set(helpers.greedy_reduce_by_retest(g, fill, some)), f
+        for e in reduced.fill_edges:
+            flipped = set(flip_graph(reduced.supergraph(), e).edges - g.edges)
+            expected = flipped - set(
+                helpers.greedy_reduce_by_retest(g, flipped, flipped))
+            assert set(successor(reduced, e).fill_edges) == expected, (f, e)
+        assert removal_order(reduced) == tuple(helpers.greedy_reduce_by_retest(
+            g, non_edges(g), reduced.complement_edges)), f

@@ -10,10 +10,9 @@ import pytest
 import helpers
 from chordalenum import (Completion, ProximitySearchError, SetSystem,
                          TraversalStats, brute_force_minimal_completions,
-                         canonical_path, children, compare_solutions,
-                         chordal_completion_system, enumerate_reverse_search,
-                         enumerate_visited_set, next_toward, parent,
-                         reverse_search, visited_set_search)
+                         canonical_path, children, chordal_completion_system,
+                         next_toward, parent, reverse_search,
+                         visited_set_search)
 
 
 def _c5_system():
@@ -82,20 +81,6 @@ def test_next_toward_first_step_matches_path():
     target = Completion.from_edges(g, [(0, 2), (0, 3)])
     assert next_toward(system, system.root, target) == \
         Completion.from_edges(g, [(0, 2), (2, 4)])
-
-
-def test_compare_solutions_is_a_total_order():
-    g, system = _c5_system()
-    sols = sorted(_solutions(g), key=system.solution_key)
-    for a in sols:
-        assert compare_solutions(system, a, a) == 0
-        for b in sols:
-            assert compare_solutions(system, a, b) == \
-                -compare_solutions(system, b, a)
-    for a, b, c in zip(sols, sols[1:], sols[2:]):
-        if compare_solutions(system, a, b) < 0 and \
-                compare_solutions(system, b, c) < 0:
-            assert compare_solutions(system, a, c) < 0
 
 
 def test_parent_of_root_raises():
@@ -219,26 +204,6 @@ def test_stats_as_dict_keys():
     assert set(stats.as_dict()) == {
         "solutions", "neighbor_evals", "orderings", "check_walks",
         "backtrack_walks", "walk_steps", "peak_retained"}
-
-
-def test_enumerate_wrappers_count_and_sink():
-    g, system = _c5_system()
-    seen: list[Completion] = []
-    assert enumerate_reverse_search(system, seen.append) == 5
-    assert len(seen) == 5
-    seen.clear()
-    assert enumerate_visited_set(system, seen.append) == 5
-    assert len(seen) == 5
-
-
-def test_enumerate_reverse_search_propagates_sink_errors():
-    _, system = _c5_system()
-
-    def explode(f: Completion) -> None:
-        raise RuntimeError("sink failure")
-
-    with pytest.raises(RuntimeError, match="sink failure"):
-        enumerate_reverse_search(system, explode)
 
 
 def test_next_toward_detects_unreachable_target():
