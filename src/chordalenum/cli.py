@@ -4,7 +4,7 @@ Commands: ``enumerate`` streams solutions, ``count`` totals them, ``verify``
 cross-checks both traversal modes (and the brute-force oracle when the
 non-edge set is small enough), ``bench`` measures inter-emission delay.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input.
+Exit codes: 0 success, 1 verification failure, 2 bad input, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -252,15 +252,22 @@ def _cmd_bench(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 
 def _read_input(path: str) -> str:
+    source = "standard input" if path == "-" else path
     try:
         if path == "-":
-            return sys.stdin.read()
+            # Decode strictly here: the interpreter's own stdin decoder may
+            # pass bad bytes through (surrogateescape under a C locale).  A
+            # text stream without a byte buffer is read as it is.
+            raw = getattr(sys.stdin, "buffer", None)
+            if raw is None:
+                return sys.stdin.read()
+            return raw.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise GraphInputError(f"cannot read {path}: {exc}") from None
+        raise GraphInputError(f"cannot read {source}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise GraphInputError(f"{path} is not UTF-8 text: {exc}") from None
+        raise GraphInputError(f"{source} is not UTF-8 text: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -336,28 +343,29 @@ def run(config: RunConfig, out: Optional[TextIO] = None,
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = _read_input(args.path)
+        config = RunConfig(
+            command=args.command,
+            text=_read_input(args.path),
+            input_format=args.input_format,
+            mode=getattr(args, "mode", "reverse_search"),
+            limit=getattr(args, "limit", None),
+            output_format=getattr(args, "output_format", "edges"),
+            stats=getattr(args, "stats", False),
+            oracle_limit=getattr(args, "oracle_limit", DEFAULT_GROUND_LIMIT),
+        )
+        code = run(config)
+        sys.stdout.flush()
     except GraphInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = RunConfig(
-        command=args.command,
-        text=text,
-        input_format=args.input_format,
-        mode=getattr(args, "mode", "reverse_search"),
-        limit=getattr(args, "limit", None),
-        output_format=getattr(args, "output_format", "edges"),
-        stats=getattr(args, "stats", False),
-        oracle_limit=getattr(args, "oracle_limit", DEFAULT_GROUND_LIMIT),
-    )
-    try:
-        code = run(config)
-        sys.stdout.flush()
     except BrokenPipeError:
         # The reader went away (e.g. ``| head``); nothing failed.  Point
         # stdout at devnull so the interpreter's final flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        # Ctrl-C: exit as a shell reports a command killed by SIGINT.
+        return 130
     return code
 
 

@@ -42,13 +42,20 @@ class SetSystem:
     ``proximity(f, order, start)`` may assume the first ``start`` ordering
     elements already matched and resume there.
 
-    ``next_step(f, target, order, i)`` receives the precomputed proximity
-    ``i`` of ``f``; when None, a generic fallback picks the
+    ``step_position(f, order, i)`` receives the precomputed proximity ``i``
+    of ``f`` toward a target whose ordering is ``order`` and returns the
+    neighbor position the canonical step takes; the child test compares that
+    position with the scan position before it computes any solution.
+    ``next_step(f, target, order, i)`` is the step itself computed directly,
+    and must equal ``neighbor_at(f, step_position(f, order, i))``; a system
+    giving ``next_step`` must give ``step_position`` too.  With
+    ``step_position`` alone the step is ``neighbor_at`` at that position; with
+    neither, a generic fallback picks the first position of the
     ``solution_key``-smallest neighbor strictly closer to the target (it
-    briefly holds one extra candidate solution while scanning, which the
-    specialized steps avoid).  ``position_excludes(f, j, cand)``, when
-    given, may cheaply rule out position j producing ``cand``; it is only an
-    optimization and must never rule out a position that does produce it.
+    evaluates every neighbor per step, which the specialized steps avoid).
+    ``position_excludes(f, j, cand)``, when given, may cheaply rule out
+    position j producing ``cand``; it is only an optimization and must never
+    rule out a position that does produce it.
     """
 
     root: Any
@@ -59,6 +66,12 @@ class SetSystem:
     solution_key: Callable[[Any], tuple]
     next_step: Optional[Callable[[Any, Any, Any, int], Any]] = None
     position_excludes: Optional[Callable[[Any, int, Any], bool]] = None
+    step_position: Optional[Callable[[Any, Any, int], int]] = None
+
+    def __post_init__(self) -> None:
+        if self.next_step is not None and self.step_position is None:
+            raise ValueError("a SetSystem with next_step needs step_position, "
+                             "the neighbor position that step takes")
 
 
 @dataclass
@@ -71,6 +84,10 @@ class TraversalState:
     resume_index: int
 
 
+_GAPPED = ("neighbor_evals", "check_walks", "backtrack_walks", "orderings",
+           "walk_steps")
+
+
 class TraversalStats:
     """Work and memory counters for one traversal.
 
@@ -78,13 +95,15 @@ class TraversalStats:
     held at once in its named slots (current node, candidate child, walk
     probe); the visited-set baseline counts its whole visited set instead.
     With ``record_gaps`` the per-emission deltas of the work counters are
-    kept, which is what the delay-structure assertions read.
+    kept in ``gap_<counter>`` lists, which is what the delay-structure
+    assertions read.
     """
 
     __slots__ = ("solutions", "neighbor_evals", "orderings", "check_walks",
                  "backtrack_walks", "walk_steps", "peak_retained",
                  "record_gaps", "gap_neighbor_evals", "gap_check_walks",
-                 "gap_backtrack_walks", "_last")
+                 "gap_backtrack_walks", "gap_orderings", "gap_walk_steps",
+                 "_last")
 
     def __init__(self, record_gaps: bool = False) -> None:
         self.solutions = 0
@@ -98,7 +117,9 @@ class TraversalStats:
         self.gap_neighbor_evals: list[int] = []
         self.gap_check_walks: list[int] = []
         self.gap_backtrack_walks: list[int] = []
-        self._last = (0, 0, 0)
+        self.gap_orderings: list[int] = []
+        self.gap_walk_steps: list[int] = []
+        self._last = (0,) * len(_GAPPED)
 
     def note_retained(self, count: int) -> None:
         if count > self.peak_retained:
@@ -107,12 +128,10 @@ class TraversalStats:
     def note_emission(self) -> None:
         self.solutions += 1
         if self.record_gaps:
-            evals, checks, backs = self._last
-            self.gap_neighbor_evals.append(self.neighbor_evals - evals)
-            self.gap_check_walks.append(self.check_walks - checks)
-            self.gap_backtrack_walks.append(self.backtrack_walks - backs)
-            self._last = (self.neighbor_evals, self.check_walks,
-                          self.backtrack_walks)
+            now = tuple(getattr(self, c) for c in _GAPPED)
+            for c, a, b in zip(_GAPPED, now, self._last):
+                getattr(self, "gap_" + c).append(a - b)
+            self._last = now
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name)
@@ -121,15 +140,22 @@ class TraversalStats:
                              "peak_retained")}
 
 
+def _step_position(system: SetSystem, f: Any, order: Sequence,
+                   i: int) -> int:
+    if system.step_position is not None:
+        return system.step_position(f, order, i)
+    return _generic_position(system, f, order, i)
+
+
 def _step(system: SetSystem, f: Any, target: Any, order: Sequence,
           i: int) -> Any:
     if system.next_step is not None:
         return system.next_step(f, target, order, i)
-    return _generic_next(system, f, order, i)
+    return system.neighbor_at(f, _step_position(system, f, order, i))
 
 
-def _generic_next(system: SetSystem, f: Any, target_order: Sequence,
-                  i: int) -> Any:
+def _generic_position(system: SetSystem, f: Any, target_order: Sequence,
+                      i: int) -> int:
     best = None
     best_key = None
     for j in range(system.neighbor_count(f)):
@@ -137,7 +163,7 @@ def _generic_next(system: SetSystem, f: Any, target_order: Sequence,
         if system.proximity(nb, target_order, 0) > i:
             key = system.solution_key(nb)
             if best is None or key < best_key:
-                best, best_key = nb, key
+                best, best_key = j, key
     if best is None:
         raise ProximitySearchError(
             "no neighbor is closer to the target; the system is not "
@@ -180,15 +206,15 @@ def parent(system: SetSystem, f: Any,
     order = system.ordering(f)
     if stats is not None:
         stats.orderings += 1
-    return _walk_to_parent(system, f, order, stats)
+    return _walk_to_parent(system, f, order, stats)[0]
 
 
 def _walk_to_parent(system: SetSystem, target: Any, order: Sequence,
-                    stats: Optional[TraversalStats]) -> Any:
+                    stats: Optional[TraversalStats]) -> tuple[Any, int]:
     """Walk the canonical path from the root, returning the probe one step
-    short of ``target``.  Holds a single probe solution; the proximity scan
-    resumes where the previous step left off, since proximity strictly
-    increases along the path."""
+    short of ``target`` and the neighbor position of that last step.  Holds
+    a single probe solution; the proximity scan resumes where the previous
+    step left off, since proximity strictly increases along the path."""
     probe = system.root
     i = system.proximity(probe, order, 0)
     while True:
@@ -196,7 +222,7 @@ def _walk_to_parent(system: SetSystem, target: Any, order: Sequence,
         if stats is not None:
             stats.walk_steps += 1
         if nxt == target:
-            return probe
+            return probe, _step_position(system, probe, order, i)
         i = system.proximity(nxt, order, i + 1)
         probe = nxt
 
@@ -223,29 +249,10 @@ def _on_canonical_path(system: SetSystem, f: Any, i_f: int, target: Any,
         i = system.proximity(probe, order, i + 1)
 
 
-def _is_parent(system: SetSystem, f: Any, cand: Any,
-               stats: Optional[TraversalStats]) -> bool:
-    """Whether ``f`` is the parent of ``cand`` in the arborescence.
-
-    Necessary test first: the canonical step out of ``f`` toward ``cand``
-    must land exactly on ``cand``.  If it does, ``f`` is the parent iff it
-    lies on the canonical path, which the bounded walk settles.
-    """
-    order = system.ordering(cand)
-    if stats is not None:
-        stats.orderings += 1
-    i_f = system.proximity(f, order, 0)
-    if _step(system, f, cand, order, i_f) != cand:
-        return False
-    if stats is not None:
-        stats.check_walks += 1
-        stats.note_retained(3)
-    return _on_canonical_path(system, f, i_f, cand, order, stats)
-
-
-def _first_occurrence(system: SetSystem, f: Any, cand: Any, j: int,
-                      stats: Optional[TraversalStats]) -> bool:
-    """Whether position ``j`` is the smallest producing ``cand`` from ``f``."""
+def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
+                    stats: Optional[TraversalStats]) -> int:
+    """The smallest neighbor position of ``f`` producing ``cand``, given
+    that position ``j`` produces it."""
     excludes = system.position_excludes
     for k in range(j):
         if excludes is not None and excludes(f, k, cand):
@@ -253,8 +260,42 @@ def _first_occurrence(system: SetSystem, f: Any, cand: Any, j: int,
         if stats is not None:
             stats.neighbor_evals += 1
         if system.neighbor_at(f, k) == cand:
+            return k
+    return j
+
+
+def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
+              stats: Optional[TraversalStats]) -> bool:
+    """Whether ``cand``, produced from ``f`` at neighbor position ``j``, is
+    a child of ``f`` in the arborescence owned by that position.
+
+    ``f`` is the parent iff the canonical step out of ``f`` toward ``cand``
+    lands on ``cand`` and ``f`` lies on the canonical path; position ``j``
+    owns the child iff no smaller position produces it.  The step takes
+    position ``k``: below ``j`` it either misses ``cand`` or produces it
+    earlier, so the answer is no; at ``j`` it lands by construction; above
+    ``j`` one neighbor evaluation settles it.  Only a landing step pays for
+    the first-occurrence scan and the bounded walk.
+    """
+    order = system.ordering(cand)
+    if stats is not None:
+        stats.orderings += 1
+    i_f = system.proximity(f, order, 0)
+    k = _step_position(system, f, order, i_f)
+    if k < j:
+        return False
+    if k > j:
+        if stats is not None:
+            stats.neighbor_evals += 1
+            stats.note_retained(3)
+        if system.neighbor_at(f, k) != cand:
             return False
-    return True
+    if _first_position(system, f, cand, j, stats) < j:
+        return False
+    if stats is not None:
+        stats.check_walks += 1
+        stats.note_retained(3)
+    return _on_canonical_path(system, f, i_f, cand, order, stats)
 
 
 def children(system: SetSystem, f: Any,
@@ -270,24 +311,9 @@ def children(system: SetSystem, f: Any,
             stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
         if (cand != system.root and cand != f
-                and _first_occurrence(system, f, cand, j, stats)
-                and _is_parent(system, f, cand, stats)):
+                and _is_child(system, f, cand, j, stats)):
             out.append(cand)
     return out
-
-
-def _owner_position(system: SetSystem, f: Any, child: Any,
-                    stats: Optional[TraversalStats]) -> int:
-    """The smallest neighbor position of ``f`` producing ``child``."""
-    excludes = system.position_excludes
-    j = 0
-    while True:
-        if excludes is None or not excludes(f, j, child):
-            if stats is not None:
-                stats.neighbor_evals += 1
-            if system.neighbor_at(f, j) == child:
-                return j
-        j += 1
 
 
 def reverse_search(system: SetSystem,
@@ -318,8 +344,7 @@ def reverse_search(system: SetSystem,
             cand = system.neighbor_at(state.current, j)
             stats.note_retained(2)
             if (cand != system.root and cand != state.current
-                    and _first_occurrence(system, state.current, cand, j, stats)
-                    and _is_parent(system, state.current, cand, stats)):
+                    and _is_child(system, state.current, cand, j, stats)):
                 child = cand
                 break
             state.resume_index += 1
@@ -341,10 +366,12 @@ def reverse_search(system: SetSystem,
         stats.orderings += 1
         order = system.ordering(state.current)
         stats.note_retained(2)
-        up = _walk_to_parent(system, state.current, order, stats)
+        up, last = _walk_to_parent(system, state.current, order, stats)
         # Resume the parent's scan one past the position owning the node we
         # are leaving; recomputing it keeps the state free of solution stacks.
-        j = _owner_position(system, up, state.current, stats)
+        # The walk's last step produced the node, so the owner is at most
+        # that step's position.
+        j = _first_position(system, up, state.current, last, stats)
         state.current = up
         state.depth_parity ^= 1
         state.resume_index = j + 1
@@ -408,8 +435,7 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     def solution_key(f: Completion) -> tuple[int, ...]:
         return tuple(i for i in range(ground) if not f.mask >> i & 1)
 
-    def next_step(f: Completion, target: Completion, order: RemovalTrace,
-                  i: int) -> Completion:
+    def step_edge(f: Completion, order: RemovalTrace, i: int) -> int:
         idx = order.element(i)
         if idx is None:
             raise ProximitySearchError(
@@ -418,7 +444,15 @@ def chordal_completion_system(g: Graph) -> SetSystem:
             raise ProximitySearchError(
                 "canonical ordering element after the matched prefix is not "
                 "a fill edge; proximity searchability violated")
-        return Completion(g, _successor_mask(g, f.mask, idx))
+        return idx
+
+    def step_position(f: Completion, order: RemovalTrace, i: int) -> int:
+        # Position j flips the (j+1)-th fill edge: the rank of the edge.
+        return (f.mask & ((1 << step_edge(f, order, i)) - 1)).bit_count()
+
+    def next_step(f: Completion, target: Completion, order: RemovalTrace,
+                  i: int) -> Completion:
+        return Completion(g, _successor_mask(g, f.mask, step_edge(f, order, i)))
 
     def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
         # A flip by edge e never re-adds e, so a candidate containing the
@@ -428,5 +462,5 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     return SetSystem(root=root, neighbor_count=neighbor_count,
                      neighbor_at=neighbor_at, ordering=ordering,
                      proximity=prox, solution_key=solution_key,
-                     next_step=next_step,
-                     position_excludes=position_excludes)
+                     next_step=next_step, position_excludes=position_excludes,
+                     step_position=step_position)

@@ -9,7 +9,7 @@ from itertools import combinations
 import networkx as nx
 
 from chordalenum import (Completion, Graph, GraphInputError, SetSystem,
-                         is_chordal_completion)
+                         canonical_path, is_chordal_completion, next_toward)
 
 _ATLAS = None
 
@@ -163,6 +163,24 @@ def greedy_reduce_by_retest(g: Graph, fill, candidates) -> list:
             return dropped
         remaining.remove(e)
         dropped.append(e)
+
+
+def children_by_step_reference(system: SetSystem, f) -> list:
+    """Reference for ``children``, deciding each candidate by solutions, not
+    positions: the candidate at position j is a child of ``f`` when no
+    smaller position produces it, the canonical step out of ``f`` toward it
+    lands on it, and ``f`` lies on its canonical path."""
+    out = []
+    for j in range(system.neighbor_count(f)):
+        cand = system.neighbor_at(f, j)
+        if cand == system.root or cand == f:
+            continue
+        if any(system.neighbor_at(f, k) == cand for k in range(j)):
+            continue
+        if (next_toward(system, f, cand) == cand
+                and f in canonical_path(system, cand)):
+            out.append(cand)
+    return out
 
 
 def minimal_sets_by_subset_sweep(g: Graph) -> set[frozenset]:

@@ -250,6 +250,29 @@ def test_main_non_utf8_file_exits_two(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+def test_main_non_utf8_stdin_exits_two(monkeypatch, capsys):
+    # The stream decodes as the interpreter's stdin does under a C locale,
+    # where the bad byte would otherwise come through as a vertex label.
+    stdin = io.TextIOWrapper(io.BytesIO(b"0 1\n1 2\n2 \xff\n\xff 0\n"),
+                             encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main(["enumerate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "standard input is not UTF-8" in captured.err
+
+
+def test_main_interrupt_exits_130(tmp_path, monkeypatch, capsys):
+    def interrupted(config, out=None, err=None):
+        raise KeyboardInterrupt
+
+    path = tmp_path / "five.txt"
+    path.write_text(C5_EDGE_LIST)
+    monkeypatch.setattr(cli, "run", interrupted)
+    assert main(["count", str(path)]) == 130
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_main_forwards_cli_flags(tmp_path, capsys):
     path = tmp_path / "five.col"
     path.write_text(C5_DIMACS)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 
 import pytest
 
 import helpers
-from chordalenum import (Completion, ProximitySearchError, SetSystem,
+from chordalenum import (Completion, Graph, ProximitySearchError, SetSystem,
                          TraversalStats, brute_force_minimal_completions,
                          canonical_path, children, chordal_completion_system,
                          next_toward, parent, reverse_search,
@@ -26,7 +27,8 @@ def _solutions(g) -> set[Completion]:
 
 def _generic(system: SetSystem) -> SetSystem:
     """The same system driven purely by the fallback machinery."""
-    return dataclasses.replace(system, next_step=None, position_excludes=None)
+    return dataclasses.replace(system, step_position=None, next_step=None,
+                               position_excludes=None)
 
 
 def test_system_root_is_minimal_completion():
@@ -195,8 +197,18 @@ def test_gap_counters_are_bounded():
     sols = list(reverse_search(system, stats))
     assert stats.solutions == len(sols) == 42
     max_degree = max(system.neighbor_count(f) for f in sols)
+    max_depth = max(len(canonical_path(system, f)) - 1 for f in sols)
     assert max(stats.gap_backtrack_walks) <= 2
     assert max(stats.gap_check_walks) <= 2 * max_degree
+    # A gap spans the scans of at most two nodes, each candidate building at
+    # most one ordering, plus one ordering per backtrack.
+    assert max(stats.gap_orderings) <= 2 * max_degree + 2
+    # Check and backtrack walks both stop within the depth of the tree.
+    for steps, checks, backs in zip(stats.gap_walk_steps,
+                                    stats.gap_check_walks,
+                                    stats.gap_backtrack_walks):
+        assert steps <= (checks + backs) * max_depth
+    assert len(stats.gap_orderings) == len(stats.gap_walk_steps) == 42
 
 
 def test_stats_as_dict_keys():
@@ -235,3 +247,69 @@ def test_subset_swap_system_with_position_filter():
     system = helpers.subset_swap_system(6, 3, with_filter=True)
     plain = helpers.subset_swap_system(6, 3)
     assert set(reverse_search(system)) == set(reverse_search(plain))
+
+
+def _step_branch(system: SetSystem, f, j: int, cand) -> str:
+    """Where the canonical step out of ``f`` toward ``cand`` (found at scan
+    position ``j``) goes, relative to ``j``."""
+    order = system.ordering(cand)
+    k = system.step_position(f, order, system.proximity(f, order, 0))
+    if k < j:
+        return "below"
+    if k == j:
+        return "at"
+    return "above, landing" if system.neighbor_at(f, k) == cand else "above"
+
+
+def test_child_decision_matches_step_reference():
+    rng = random.Random(832040)
+    branches = collections.Counter()
+    for trial in range(200):
+        # Two positions producing one candidate, the step taking the later
+        # one, first shows up around n = 9, so the sizes reach past that.
+        n = rng.randint(6, 10)
+        g = helpers.random_graph(rng, n,
+                                 rng.randint(n, min(18, n * (n - 1) // 2)))
+        system = chordal_completion_system(g)
+        variants = [system, dataclasses.replace(system, next_step=None)]
+        if trial % 10 == 0:
+            variants.append(_generic(system))
+        for f in _solutions(g):
+            for variant in variants:
+                assert children(variant, f) == \
+                    helpers.children_by_step_reference(variant, f), g.edges
+            for j in range(system.neighbor_count(f)):
+                cand = system.neighbor_at(f, j)
+                if cand != system.root:
+                    branches[_step_branch(system, f, j, cand)] += 1
+    assert {"below", "at", "above, landing"} <= set(branches), branches
+    for m, k in [(5, 2), (6, 3)]:
+        for with_filter in (False, True):
+            system = helpers.subset_swap_system(m, k, with_filter)
+            for f in visited_set_search(system):
+                assert children(system, f) == \
+                    helpers.children_by_step_reference(system, f)
+
+
+def test_next_step_without_step_position_is_rejected():
+    _, system = _c5_system()
+    with pytest.raises(ValueError, match="step_position"):
+        dataclasses.replace(system, step_position=None)
+
+
+# An 11-vertex graph on which a backtrack leaves a child whose canonical
+# step comes from a later position than the one owning it, with a sibling
+# owned in between; resuming the parent's scan past the step's position
+# instead of the owner's loses that sibling and its subtree.
+OWNER_BELOW_STEP_EDGES = [
+    (0, 2), (0, 4), (0, 5), (0, 9), (0, 10), (1, 3), (1, 5), (1, 6), (1, 8),
+    (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 9), (3, 6), (3, 7),
+    (3, 8), (3, 9), (3, 10), (4, 6), (4, 7), (4, 9), (4, 10), (5, 6), (5, 8),
+    (5, 9), (6, 7), (6, 8), (6, 10), (7, 8), (8, 10), (9, 10)]
+
+
+def test_backtrack_resumes_past_the_owner_position():
+    g = Graph(11, OWNER_BELOW_STEP_EDGES)
+    via_reverse = list(reverse_search(chordal_completion_system(g)))
+    assert len(via_reverse) == len(set(via_reverse)) == 21
+    assert set(via_reverse) == _solutions(g)
