@@ -123,14 +123,19 @@ def _clique_fill(base: Graph, masks: list[int], x: int, y: int) -> int:
     return within
 
 
-def _deletions(base: Graph, masks: list[int],
-               candidates: int) -> Iterator[int]:
+def _deletions(base: Graph, masks: list[int], candidates: int,
+               cover: int = -1) -> Iterator[int]:
     """Greedy reduction kernel.
 
     Repeatedly finds the smallest-index non-edge in ``candidates`` whose
     endpoints' common neighborhood in ``masks`` is a clique (so deleting it
     keeps a chordal graph chordal), deletes it from ``masks`` in place and
     yields its index; stops when no candidate is removable.
+
+    ``cover`` must hold an endpoint of every edge missing from ``masks``
+    (default: every vertex).  The clique test looks only at the common
+    neighbors inside it: a missing edge between two common neighbors is
+    seen from either end, so from the end the cover holds.
     """
     # Deleting edge (u, v) cannot unblock a pair disjoint from {u, v}: that
     # pair's common neighborhood is unchanged and only gains violations.  So
@@ -146,10 +151,12 @@ def _deletions(base: Graph, masks: list[int],
             i = low.bit_length() - 1
             u, v = ne[i]
             cn = masks[u] & masks[v]
-            c = cn
+            c = cn & cover
             while c:
                 cl = c & -c
-                if cn & ~masks[cl.bit_length() - 1] & ~cl:
+                # w is in cn and never in masks[w], so cn misses an edge at
+                # w exactly when more than w itself is outside masks[w].
+                if cn & ~masks[cl.bit_length() - 1] != cl:
                     break
                 c ^= cl
             if not c:
@@ -160,6 +167,7 @@ def _deletions(base: Graph, masks: list[int],
             return
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
+        cover |= 1 << u
         candidates ^= low
         stuck &= ~(incident[u] | incident[v])
         yield i
@@ -238,55 +246,74 @@ class RemovalTrace:
     Assumes the underlying completion is minimal (the trace drains the whole
     complement for any chordal completion, minimal or not, so callers that
     cannot guarantee minimality must check it separately).
+
+    ``trace[:n]`` is the trace cut after its first n elements, like a tuple
+    prefix: a trace of its own whose proximity is ``min(proximity, n)``,
+    which has no element at position n or later, and which shares the
+    elements computed so far (and computed from now on) with ``trace``; it
+    never computes an element past its end.
     """
 
-    __slots__ = ("_deletions", "_length", "_seq", "_exhausted")
+    __slots__ = ("_deletions", "_seq", "_stop")
 
     def __init__(self, f: Completion) -> None:
         base = f.base
         n = base.n
         rest = (1 << len(non_edges(base))) - 1 & ~f.mask
         full = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-        self._deletions = _deletions(base, full, rest)
-        self._length = rest.bit_count()
+        # K_n misses no edge, so the empty set covers them; each deletion
+        # then adds one endpoint.
+        self._deletions = _deletions(base, full, rest, 0)
         self._seq: list[int] = []
-        self._exhausted = self._length == 0
+        self._stop = rest.bit_count()
+
+    def __getitem__(self, key: slice) -> "RemovalTrace":
+        start, stop, step = key.indices(self._stop)
+        if start or step != 1:
+            raise TypeError("a removal trace slices only as trace[:n]")
+        view = RemovalTrace.__new__(RemovalTrace)
+        view._deletions = self._deletions
+        view._seq = self._seq
+        view._stop = stop
+        return view
 
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the
         end."""
+        if pos >= self._stop:
+            return None
         seq = self._seq
-        while len(seq) <= pos and not self._exhausted:
+        while len(seq) <= pos:
             self._extend()
-        return seq[pos] if pos < len(seq) else None
+        return seq[pos]
 
     def prefix_against(self, fill_mask: int, start: int = 0) -> int:
         """Position of the first trace element inside ``fill_mask`` at or
         after ``start``, or the trace length if none is.  Positions before
         ``start`` are assumed already checked."""
         seq = self._seq
+        stop = self._stop
         i = start
-        while True:
+        while i < stop:
             if i < len(seq):
                 if fill_mask >> seq[i] & 1:
                     return i
                 i += 1
-            elif self._exhausted:
-                return i
             else:
                 self._extend()
+        return stop
 
     def _extend(self) -> None:
         i = next(self._deletions, None)
         if i is None:
             raise ValueError("removal trace stalled: not a chordal completion")
         self._seq.append(i)
-        self._exhausted = len(self._seq) == self._length
 
     def force(self) -> tuple[int, ...]:
-        while not self._exhausted:
+        seq = self._seq
+        while len(seq) < self._stop:
             self._extend()
-        return tuple(self._seq)
+        return tuple(seq[:self._stop])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RemovalTrace):

@@ -9,10 +9,17 @@ parent of a solution is the last stop before it on the canonical path from
 the root; children are recomputed on demand, so the traversal retains only a
 constant number of solutions at a time.
 
-Solutions must be hashable and comparable with ``==``.  Orderings are tuples
-of mutually comparable ground elements, and two solutions compare by the
-lexicographic order of their ordering tuples (for the inclusion-incomparable
-families enumerated here, distinct solutions never produce nested tuples).
+Solutions must be hashable and comparable with ``==``.  Orderings are
+tuples of mutually comparable ground elements, or tokens that behave like
+them (the chordal instance's lazily grown removal trace), and two solutions
+compare by the lexicographic order of their orderings (for the
+inclusion-incomparable families enumerated here, distinct solutions never
+produce nested tuples).  A token cut like a tuple, ``order[:n]``, is again a
+token: its proximity is ``min(proximity, n)`` and it has no element at
+position n or later.  The parent check toward a candidate child needs no
+more: its walk only steps from proximities below ``i_f``, the scanning
+node's, and stops on reaching ``i_f``, so it reads ``order[:i_f + 1]`` and a
+lazy ordering is computed no further than that.
 """
 
 from __future__ import annotations
@@ -56,6 +63,13 @@ class SetSystem:
     ``position_excludes(f, j, cand)``, when given, may cheaply rule out
     position j producing ``cand``; it is only an optimization and must never
     rule out a position that does produce it.
+
+    Tokens slice like tuple prefixes: ``order[:n]`` must be a token of the
+    same system whose proximity is ``min(proximity, n)`` and which has no
+    element at position n or later (tuples already are).  The check walk
+    toward a candidate child passes ``order[:i_f + 1]`` to ``proximity``,
+    ``step_position`` and ``next_step``, because it only steps from
+    proximities below ``i_f`` and stops at ``i_f``.
     """
 
     root: Any
@@ -77,11 +91,14 @@ class SetSystem:
 @dataclass
 class TraversalState:
     """Resumable cursor of a reverse-search traversal: the node being
-    scanned, its depth parity, and the next neighbor index to try."""
+    scanned, its depth parity, the next neighbor index to try, and the
+    node's ordering when the child test that descended to it built one (the
+    backtrack out of the node reuses it)."""
 
     current: Any
     depth_parity: int
     resume_index: int
+    order: Any = None
 
 
 _GAPPED = ("neighbor_evals", "check_walks", "backtrack_walks", "orderings",
@@ -214,15 +231,26 @@ def _walk_to_parent(system: SetSystem, target: Any, order: Sequence,
     """Walk the canonical path from the root, returning the probe one step
     short of ``target`` and the neighbor position of that last step.  Holds
     a single probe solution; the proximity scan resumes where the previous
-    step left off, since proximity strictly increases along the path."""
+    step left off, since proximity strictly increases along the path.
+
+    A system without ``next_step`` steps by ``neighbor_at`` at the step
+    position, so that position is computed once per step; with
+    ``next_step`` it is computed only for the last step."""
+    step = system.next_step
     probe = system.root
     i = system.proximity(probe, order, 0)
     while True:
-        nxt = _step(system, probe, target, order, i)
+        if step is None:
+            k = _step_position(system, probe, order, i)
+            nxt = system.neighbor_at(probe, k)
+        else:
+            nxt = step(probe, target, order, i)
         if stats is not None:
             stats.walk_steps += 1
         if nxt == target:
-            return probe, _step_position(system, probe, order, i)
+            if step is not None:
+                k = system.step_position(probe, order, i)
+            return probe, k
         i = system.proximity(nxt, order, i + 1)
         probe = nxt
 
@@ -234,7 +262,10 @@ def _on_canonical_path(system: SetSystem, f: Any, i_f: int, target: Any,
     canonical path to ``target``.
 
     Proximity strictly increases along the path, so the walk can stop as
-    soon as it meets ``f`` or overtakes its proximity.
+    soon as it meets ``f`` or overtakes its proximity.  Every step it takes
+    starts below proximity ``i_f``, so ``order`` need only be the prefix
+    ``order[:i_f + 1]``: a probe's proximity then reads ``min(i, i_f + 1)``,
+    which decides ``i >= i_f`` the same way.
     """
     probe = system.root
     i = system.proximity(probe, order, 0)
@@ -265,9 +296,10 @@ def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
 
 
 def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
-              stats: Optional[TraversalStats]) -> bool:
-    """Whether ``cand``, produced from ``f`` at neighbor position ``j``, is
-    a child of ``f`` in the arborescence owned by that position.
+              stats: Optional[TraversalStats]) -> Optional[Sequence]:
+    """The ordering of ``cand`` if ``cand``, produced from ``f`` at
+    neighbor position ``j``, is a child of ``f`` in the arborescence owned by
+    that position, else None.
 
     ``f`` is the parent iff the canonical step out of ``f`` toward ``cand``
     lands on ``cand`` and ``f`` lies on the canonical path; position ``j``
@@ -283,19 +315,21 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
     i_f = system.proximity(f, order, 0)
     k = _step_position(system, f, order, i_f)
     if k < j:
-        return False
+        return None
     if k > j:
         if stats is not None:
             stats.neighbor_evals += 1
             stats.note_retained(3)
         if system.neighbor_at(f, k) != cand:
-            return False
+            return None
     if _first_position(system, f, cand, j, stats) < j:
-        return False
+        return None
     if stats is not None:
         stats.check_walks += 1
         stats.note_retained(3)
-    return _on_canonical_path(system, f, i_f, cand, order, stats)
+    if _on_canonical_path(system, f, i_f, cand, order[:i_f + 1], stats):
+        return order
+    return None
 
 
 def children(system: SetSystem, f: Any,
@@ -311,7 +345,7 @@ def children(system: SetSystem, f: Any,
             stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
         if (cand != system.root and cand != f
-                and _is_child(system, f, cand, j, stats)):
+                and _is_child(system, f, cand, j, stats) is not None):
             out.append(cand)
     return out
 
@@ -343,13 +377,15 @@ def reverse_search(system: SetSystem,
             stats.neighbor_evals += 1
             cand = system.neighbor_at(state.current, j)
             stats.note_retained(2)
-            if (cand != system.root and cand != state.current
-                    and _is_child(system, state.current, cand, j, stats)):
-                child = cand
-                break
+            if cand != system.root and cand != state.current:
+                order = _is_child(system, state.current, cand, j, stats)
+                if order is not None:
+                    child = cand
+                    break
             state.resume_index += 1
         if child is not None:
             state.current = child
+            state.order = order
             state.depth_parity ^= 1
             state.resume_index = 0
             if state.depth_parity == 0:
@@ -363,8 +399,10 @@ def reverse_search(system: SetSystem,
         if state.current == system.root:
             return
         stats.backtrack_walks += 1
-        stats.orderings += 1
-        order = system.ordering(state.current)
+        order = state.order
+        if order is None:
+            stats.orderings += 1
+            order = system.ordering(state.current)
         stats.note_retained(2)
         up, last = _walk_to_parent(system, state.current, order, stats)
         # Resume the parent's scan one past the position owning the node we
@@ -373,6 +411,7 @@ def reverse_search(system: SetSystem,
         # that step's position.
         j = _first_position(system, up, state.current, last, stats)
         state.current = up
+        state.order = None
         state.depth_parity ^= 1
         state.resume_index = j + 1
         stats.note_retained(1)

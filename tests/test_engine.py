@@ -12,8 +12,8 @@ import helpers
 from chordalenum import (Completion, Graph, ProximitySearchError, SetSystem,
                          TraversalStats, brute_force_minimal_completions,
                          canonical_path, children, chordal_completion_system,
-                         next_toward, parent, reverse_search,
-                         visited_set_search)
+                         next_toward, parent, proximity, removal_order,
+                         reverse_search, visited_set_search)
 
 
 def _c5_system():
@@ -313,3 +313,96 @@ def test_backtrack_resumes_past_the_owner_position():
     via_reverse = list(reverse_search(chordal_completion_system(g)))
     assert len(via_reverse) == len(set(via_reverse)) == 21
     assert set(via_reverse) == _solutions(g)
+
+
+def _count_calls(system: SetSystem, name: str):
+    """``system`` with callable field ``name`` wrapped in a call counter."""
+    counter = [0]
+    fn = getattr(system, name)
+
+    def counted(*args):
+        counter[0] += 1
+        return fn(*args)
+    return dataclasses.replace(system, **{name: counted}), counter
+
+
+def test_generic_parent_walk_evaluates_each_neighbor_once_per_step():
+    # Without next_step or step_position each walk step evaluates every
+    # neighbor to find the step position, then takes the step at it.
+    system = helpers.subset_swap_system(6, 3)
+    lengths = collections.Counter()
+    for f in visited_set_search(system):
+        if f == system.root:
+            continue
+        steps = len(canonical_path(system, f)) - 1
+        lengths[steps] += 1
+        counted, calls = _count_calls(system, "neighbor_at")
+        assert parent(counted, f) == canonical_path(system, f)[-2]
+        assert calls[0] == steps * (system.neighbor_count(f) + 1), f
+    assert lengths[1] and len(lengths) > 1
+
+
+
+def test_ordering_prefixes_are_bounded_tokens():
+    # order[:n] is a token of the same system whose proximity is
+    # min(proximity, n) and which has no element at position n or later; a
+    # removal trace's prefix shares the trace's elements and computes none
+    # past its end.  A start s claims the first s elements matched, so it
+    # goes up to the prefix's own proximity.
+    rng = random.Random(28657)
+    for _ in range(200):
+        g = helpers.random_graph_at_most(rng, rng.randint(4, 8), 10)
+        system = chordal_completion_system(g)
+        sols = list(visited_set_search(system))
+        target = rng.choice(sols)
+        elements = system.ordering(target).force()
+        edges = removal_order(target)
+        for f in rng.sample(sols, min(3, len(sols))):
+            full = system.proximity(f, system.ordering(target), 0)
+            assert proximity(f, edges) == full
+            for n in range(len(elements) + 2):
+                trace = system.ordering(target)
+                view = trace[:n]
+                assert system.proximity(f, view, 0) == min(full, n)
+                assert len(trace._seq) <= n
+                for s in range(min(full, n) + 1):
+                    assert system.proximity(f, view, s) == min(full, n)
+                head = list(elements[:n])
+                assert [view.element(p) for p in range(len(elements) + 2)] \
+                    == head + [None] * (len(elements) + 2 - len(head))
+                assert view[:n + 1].force() == view[:n].force() == \
+                    elements[:n]
+                assert len(trace._seq) <= n
+                assert proximity(f, edges[:n]) == min(full, n)
+    for m, k in [(5, 2), (6, 3)]:
+        system = helpers.subset_swap_system(m, k)
+        sols = list(visited_set_search(system))
+        for target in sols:
+            order = system.ordering(target)
+            for f in sols:
+                full = system.proximity(f, order, 0)
+                for n in range(len(order) + 2):
+                    assert len(order[:n]) == min(n, len(order))
+                    for s in range(min(full, n) + 1):
+                        assert system.proximity(f, order[:n], s) == \
+                            min(full, n)
+
+
+def test_backtrack_reuses_the_ordering_the_child_test_built():
+    # Every candidate the scan tests builds one ordering, and so does every
+    # backtrack, except out of a leaf: the child test that descended to it
+    # built the leaf's ordering already.
+    g = helpers.cycle_graph(7)
+    system, calls = _count_calls(chordal_completion_system(g), "ordering")
+    stats = TraversalStats()
+    sols = list(reverse_search(system, stats))
+    assert len(sols) == 42
+    plain = chordal_completion_system(g)
+    candidates = sum(
+        1 for f in sols for j in range(plain.neighbor_count(f))
+        if plain.neighbor_at(f, j) not in (plain.root, f))
+    leaves = sum(1 for f in sols
+                 if f != plain.root and not children(plain, f))
+    assert calls[0] == stats.orderings
+    assert calls[0] == candidates + stats.backtrack_walks - leaves
+    assert calls[0] < candidates + stats.backtrack_walks
