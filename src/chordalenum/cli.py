@@ -55,11 +55,15 @@ def parse_graph_input(text: str, input_format: str = "auto"
     ``#`` starts a comment; vertices are numbered by first appearance.
     ``dimacs``: a single ``p edge <n> <m>`` header, ``c`` comments, and
     exactly ``m`` lines ``e <u> <v>`` with 1-based endpoints.
-    ``auto`` picks dimacs when a ``p`` header line is present.
+    ``auto`` picks dimacs when a ``p`` header line is present: one whose
+    first token is ``p`` and which does not have the two tokens of an
+    edge-list line (so a vertex may be labelled ``p``).
     """
     if input_format == "auto":
-        has_header = any(line.split()[:1] == ["p"]
-                         for line in text.splitlines())
+        has_header = any(
+            tokens[:1] == ["p"] and len(tokens) != 2
+            for tokens in (line.split("#", 1)[0].split()
+                           for line in text.splitlines()))
         input_format = "dimacs" if has_header else "edge_list"
     if input_format == "edge_list":
         return _parse_edge_list(text)
@@ -324,6 +328,10 @@ def run(config: RunConfig, out: Optional[TextIO] = None,
     if config.limit is not None and config.limit < 0:
         print(f"error: --limit must be nonnegative, got {config.limit}",
               file=err)
+        return 2
+    if config.oracle_limit < 0:
+        print("error: --oracle-limit must be nonnegative, got "
+              f"{config.oracle_limit}", file=err)
         return 2
     try:
         if config.command == "enumerate":

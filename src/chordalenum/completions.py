@@ -315,17 +315,6 @@ class RemovalTrace:
             self._extend()
         return tuple(seq[:self._stop])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RemovalTrace):
-            return NotImplemented
-        return self.force() == other.force()
-
-    def __lt__(self, other: "RemovalTrace") -> bool:
-        return self.force() < other.force()
-
-    def __hash__(self) -> int:
-        return hash(self.force())
-
 
 def removal_order(f: Completion) -> tuple[Edge, ...]:
     """Canonical ordering of the unfilled non-edges of a minimal completion.

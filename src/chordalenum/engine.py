@@ -9,21 +9,24 @@ parent of a solution is the last stop before it on the canonical path from
 the root; children are recomputed on demand, so the traversal retains only a
 constant number of solutions at a time.
 
+The canonical walk is written once, in ``_path``: ``canonical_path``,
+``next_toward``, ``parent``, the backtrack and the child test's check walk
+all read from it.  The neighbor scan is written once, in ``_next_child``:
+``children`` and ``reverse_search`` both scan through it.
+
 Solutions must be hashable and comparable with ``==``.  Orderings are
-tuples of mutually comparable ground elements, or tokens that behave like
-them (the chordal instance's lazily grown removal trace), and two solutions
-compare by the lexicographic order of their orderings (for the
-inclusion-incomparable families enumerated here, distinct solutions never
-produce nested tuples).  A token cut like a tuple, ``order[:n]``, is again a
-token: its proximity is ``min(proximity, n)`` and it has no element at
-position n or later.  The parent check toward a candidate child needs no
-more: its walk only steps from proximities below ``i_f``, the scanning
-node's, and stops on reaching ``i_f``, so it reads ``order[:i_f + 1]`` and a
-lazy ordering is computed no further than that.
+tuples of ground elements, or tokens that behave like them (the chordal
+instance's lazily grown removal trace).  A token cut like a tuple,
+``order[:n]``, is again a token: its proximity is ``min(proximity, n)`` and
+it has no element at position n or later.  The parent check toward a
+candidate child needs no more: its walk only steps from proximities below
+``i_f``, the scanning node's, and stops on reaching ``i_f``, so it reads
+``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -45,7 +48,7 @@ class SetSystem:
     scan order over ``j`` is what fixes which neighbor owns a child that can
     be produced several ways.  ``ordering(f)`` returns whatever token this
     system's own ``proximity`` and ``next_step`` understand (a tuple, or a
-    lazily grown trace); tokens of distinct solutions must order with ``<``.
+    lazily grown trace).
     ``proximity(f, order, start)`` may assume the first ``start`` ordering
     elements already matched and resume there.
 
@@ -86,19 +89,6 @@ class SetSystem:
         if self.next_step is not None and self.step_position is None:
             raise ValueError("a SetSystem with next_step needs step_position, "
                              "the neighbor position that step takes")
-
-
-@dataclass
-class TraversalState:
-    """Resumable cursor of a reverse-search traversal: the node being
-    scanned, its depth parity, the next neighbor index to try, and the
-    node's ordering when the child test that descended to it built one (the
-    backtrack out of the node reuses it)."""
-
-    current: Any
-    depth_parity: int
-    resume_index: int
-    order: Any = None
 
 
 _GAPPED = ("neighbor_evals", "check_walks", "backtrack_walks", "orderings",
@@ -164,13 +154,6 @@ def _step_position(system: SetSystem, f: Any, order: Sequence,
     return _generic_position(system, f, order, i)
 
 
-def _step(system: SetSystem, f: Any, target: Any, order: Sequence,
-          i: int) -> Any:
-    if system.next_step is not None:
-        return system.next_step(f, target, order, i)
-    return system.neighbor_at(f, _step_position(system, f, order, i))
-
-
 def _generic_position(system: SetSystem, f: Any, target_order: Sequence,
                       i: int) -> int:
     best = None
@@ -188,115 +171,86 @@ def _generic_position(system: SetSystem, f: Any, target_order: Sequence,
     return best
 
 
-def next_toward(system: SetSystem, f: Any, target: Any,
-                target_order: Optional[Sequence] = None) -> Any:
+def _path(system: SetSystem, start: Any, target: Any, order: Sequence,
+          stats: TraversalStats) -> Iterator[tuple]:
+    """The canonical path from ``start`` to ``target`` (whose ordering is
+    ``order``), one ``(probe, i, k)`` at a time: the probe, its proximity
+    ``i`` toward the target, and the neighbor position ``k`` of the step
+    that reached it.
+
+    ``k`` is None at ``start`` and wherever ``next_step`` took the step;
+    without ``next_step`` the step is ``neighbor_at`` at the step position,
+    so that position is computed once per step.  ``i`` is None at the
+    target, whose proximity is never computed.  The step out of a probe is
+    taken only when the caller asks for the next item, and the proximity
+    scan resumes where the previous probe's stopped, since proximity
+    strictly increases along the path.
+    """
+    probe, i, k = start, -1, None
+    while probe != target:
+        i = system.proximity(probe, order, i + 1)
+        yield probe, i, k
+        if system.next_step is None:
+            k = _step_position(system, probe, order, i)
+            probe = system.neighbor_at(probe, k)
+        else:
+            probe = system.next_step(probe, target, order, i)
+        stats.walk_steps += 1
+    yield probe, None, k
+
+
+def next_toward(system: SetSystem, f: Any, target: Any) -> Any:
     """The canonical next solution after ``f`` on the way to ``target``.
 
     The result is a neighbor of ``f`` strictly closer to ``target`` under
-    the proximity measure.  ``target_order`` is ``ordering(target)``; pass it
-    in when stepping repeatedly toward one target.
+    the proximity measure.
     """
     if f == target:
         raise ValueError("next_toward needs two distinct solutions")
-    if target_order is None:
-        target_order = system.ordering(target)
-    return _step(system, f, target, target_order,
-                 system.proximity(f, target_order, 0))
+    walk = _path(system, f, target, system.ordering(target), TraversalStats())
+    next(walk)
+    return next(walk)[0]
 
 
 def canonical_path(system: SetSystem, target: Any) -> list:
     """The canonical path from the root to ``target``, both ends included."""
-    order = system.ordering(target)
-    path = [system.root]
-    i = system.proximity(path[-1], order, 0)
-    while path[-1] != target:
-        path.append(_step(system, path[-1], target, order, i))
-        i = system.proximity(path[-1], order, i + 1)
-    return path
+    return [probe for probe, _, _ in _path(
+        system, system.root, target, system.ordering(target),
+        TraversalStats())]
 
 
-def parent(system: SetSystem, f: Any,
-           stats: Optional[TraversalStats] = None) -> Any:
+def _parent_step(system: SetSystem, f: Any, order: Sequence,
+                 stats: TraversalStats) -> tuple[Any, int]:
+    """The parent of ``f`` and the neighbor position of its step to ``f``,
+    from a walk that holds one probe at a time."""
+    (up, i, _), (_, _, k) = deque(
+        _path(system, system.root, f, order, stats), maxlen=2)
+    return up, system.step_position(up, order, i) if k is None else k
+
+
+def parent(system: SetSystem, f: Any) -> Any:
     """The next-to-last solution on the canonical path to ``f``."""
     if f == system.root:
         raise ValueError("the root solution has no parent")
-    order = system.ordering(f)
-    if stats is not None:
-        stats.orderings += 1
-    return _walk_to_parent(system, f, order, stats)[0]
-
-
-def _walk_to_parent(system: SetSystem, target: Any, order: Sequence,
-                    stats: Optional[TraversalStats]) -> tuple[Any, int]:
-    """Walk the canonical path from the root, returning the probe one step
-    short of ``target`` and the neighbor position of that last step.  Holds
-    a single probe solution; the proximity scan resumes where the previous
-    step left off, since proximity strictly increases along the path.
-
-    A system without ``next_step`` steps by ``neighbor_at`` at the step
-    position, so that position is computed once per step; with
-    ``next_step`` it is computed only for the last step."""
-    step = system.next_step
-    probe = system.root
-    i = system.proximity(probe, order, 0)
-    while True:
-        if step is None:
-            k = _step_position(system, probe, order, i)
-            nxt = system.neighbor_at(probe, k)
-        else:
-            nxt = step(probe, target, order, i)
-        if stats is not None:
-            stats.walk_steps += 1
-        if nxt == target:
-            if step is not None:
-                k = system.step_position(probe, order, i)
-            return probe, k
-        i = system.proximity(nxt, order, i + 1)
-        probe = nxt
-
-
-def _on_canonical_path(system: SetSystem, f: Any, i_f: int, target: Any,
-                       order: Sequence,
-                       stats: Optional[TraversalStats]) -> bool:
-    """Whether ``f`` (at proximity ``i_f`` toward ``target``) lies on the
-    canonical path to ``target``.
-
-    Proximity strictly increases along the path, so the walk can stop as
-    soon as it meets ``f`` or overtakes its proximity.  Every step it takes
-    starts below proximity ``i_f``, so ``order`` need only be the prefix
-    ``order[:i_f + 1]``: a probe's proximity then reads ``min(i, i_f + 1)``,
-    which decides ``i >= i_f`` the same way.
-    """
-    probe = system.root
-    i = system.proximity(probe, order, 0)
-    while True:
-        if probe == f:
-            return True
-        if i >= i_f:
-            return False
-        probe = _step(system, probe, target, order, i)
-        if stats is not None:
-            stats.walk_steps += 1
-        i = system.proximity(probe, order, i + 1)
+    return _parent_step(system, f, system.ordering(f), TraversalStats())[0]
 
 
 def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
-                    stats: Optional[TraversalStats]) -> int:
+                    stats: TraversalStats) -> int:
     """The smallest neighbor position of ``f`` producing ``cand``, given
     that position ``j`` produces it."""
     excludes = system.position_excludes
     for k in range(j):
         if excludes is not None and excludes(f, k, cand):
             continue
-        if stats is not None:
-            stats.neighbor_evals += 1
+        stats.neighbor_evals += 1
         if system.neighbor_at(f, k) == cand:
             return k
     return j
 
 
 def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
-              stats: Optional[TraversalStats]) -> Optional[Sequence]:
+              stats: TraversalStats) -> Optional[Sequence]:
     """The ordering of ``cand`` if ``cand``, produced from ``f`` at
     neighbor position ``j``, is a child of ``f`` in the arborescence owned by
     that position, else None.
@@ -307,46 +261,62 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
     position ``k``: below ``j`` it either misses ``cand`` or produces it
     earlier, so the answer is no; at ``j`` it lands by construction; above
     ``j`` one neighbor evaluation settles it.  Only a landing step pays for
-    the first-occurrence scan and the bounded walk.
+    the first-occurrence scan and the check walk.
+
+    The check walk stops on meeting ``f`` or on overtaking its proximity
+    ``i_f``, since proximity strictly increases along the path.  Every step
+    it takes starts below ``i_f``, so it reads only ``order[:i_f + 1]``: a
+    probe's proximity there is ``min(i, i_f + 1)``, which decides
+    ``i >= i_f`` the same way.
     """
     order = system.ordering(cand)
-    if stats is not None:
-        stats.orderings += 1
+    stats.orderings += 1
     i_f = system.proximity(f, order, 0)
     k = _step_position(system, f, order, i_f)
     if k < j:
         return None
     if k > j:
-        if stats is not None:
-            stats.neighbor_evals += 1
-            stats.note_retained(3)
+        stats.neighbor_evals += 1
+        stats.note_retained(3)
         if system.neighbor_at(f, k) != cand:
             return None
     if _first_position(system, f, cand, j, stats) < j:
         return None
-    if stats is not None:
-        stats.check_walks += 1
-        stats.note_retained(3)
-    if _on_canonical_path(system, f, i_f, cand, order[:i_f + 1], stats):
-        return order
+    stats.check_walks += 1
+    stats.note_retained(3)
+    for probe, i, _ in _path(system, system.root, cand, order[:i_f + 1],
+                             stats):
+        if probe == f:
+            return order
+        if i is None or i >= i_f:
+            return None
+
+
+def _next_child(system: SetSystem, f: Any, j: int, stats: TraversalStats
+                ) -> Optional[tuple[int, Any, Sequence]]:
+    """The first child of ``f`` at neighbor position ``j`` or later, as its
+    position, the child and the child's ordering; None if there is none.
+    The root is never anyone's child."""
+    for j in range(j, system.neighbor_count(f)):
+        stats.neighbor_evals += 1
+        cand = system.neighbor_at(f, j)
+        stats.note_retained(2)
+        if cand != system.root and cand != f:
+            order = _is_child(system, f, cand, j, stats)
+            if order is not None:
+                return j, cand, order
     return None
 
 
-def children(system: SetSystem, f: Any,
-             stats: Optional[TraversalStats] = None) -> list:
-    """The children of ``f`` in the arborescence, in scan order.
-
-    A child appears once, at the smallest neighbor position producing it;
-    the root is never anyone's child.
-    """
-    out = []
-    for j in range(system.neighbor_count(f)):
-        if stats is not None:
-            stats.neighbor_evals += 1
-        cand = system.neighbor_at(f, j)
-        if (cand != system.root and cand != f
-                and _is_child(system, f, cand, j, stats) is not None):
-            out.append(cand)
+def children(system: SetSystem, f: Any) -> list:
+    """The children of ``f`` in the arborescence, in scan order; a child
+    appears once, at the smallest neighbor position producing it."""
+    out, stats = [], TraversalStats()
+    found = _next_child(system, f, 0, stats)
+    while found is not None:
+        j, child, _ = found
+        out.append(child)
+        found = _next_child(system, f, j + 1, stats)
     return out
 
 
@@ -361,59 +331,45 @@ def reverse_search(system: SetSystem,
     recomputations.  At any instant at most three solutions are retained:
     the current node, the candidate child under test, and the walk probe
     used to recompute parents.
+
+    The traversal's whole state is the current node, its depth parity, the
+    neighbor position its scan resumes at, and its ordering when the child
+    test that descended to it built one (the backtrack out of it reuses it).
     """
     if stats is None:
         stats = TraversalStats()
-    state = TraversalState(current=system.root, depth_parity=0, resume_index=0)
+    current, odd, j, order = system.root, False, 0, None
     stats.note_retained(1)
     stats.note_emission()
-    yield state.current
+    yield current
 
     while True:
-        child = None
-        count = system.neighbor_count(state.current)
-        while state.resume_index < count:
-            j = state.resume_index
-            stats.neighbor_evals += 1
-            cand = system.neighbor_at(state.current, j)
-            stats.note_retained(2)
-            if cand != system.root and cand != state.current:
-                order = _is_child(system, state.current, cand, j, stats)
-                if order is not None:
-                    child = cand
-                    break
-            state.resume_index += 1
-        if child is not None:
-            state.current = child
-            state.order = order
-            state.depth_parity ^= 1
-            state.resume_index = 0
-            if state.depth_parity == 0:
+        found = _next_child(system, current, j, stats)
+        if found is not None:
+            _, current, order = found
+            odd, j = not odd, 0
+            if not odd:
                 stats.note_emission()
-                yield state.current
+                yield current
             continue
         # Neighbor scan exhausted: emit odd-depth nodes on the way out.
-        if state.depth_parity == 1:
+        if odd:
             stats.note_emission()
-            yield state.current
-        if state.current == system.root:
+            yield current
+        if current == system.root:
             return
         stats.backtrack_walks += 1
-        order = state.order
         if order is None:
             stats.orderings += 1
-            order = system.ordering(state.current)
+            order = system.ordering(current)
         stats.note_retained(2)
-        up, last = _walk_to_parent(system, state.current, order, stats)
+        up, last = _parent_step(system, current, order, stats)
         # Resume the parent's scan one past the position owning the node we
         # are leaving; recomputing it keeps the state free of solution stacks.
         # The walk's last step produced the node, so the owner is at most
         # that step's position.
-        j = _first_position(system, up, state.current, last, stats)
-        state.current = up
-        state.order = None
-        state.depth_parity ^= 1
-        state.resume_index = j + 1
+        j = _first_position(system, up, current, last, stats) + 1
+        current, odd, order = up, not odd, None
         stats.note_retained(1)
 
 

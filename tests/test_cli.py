@@ -69,6 +69,13 @@ def test_parse_auto_detects_dimacs_header():
     assert g.n == 5
     g, _ = parse_graph_input(C4_EDGE_LIST, input_format="auto")
     assert g.n == 4
+    # An edge-list line has two tokens even when a vertex is labelled p; a
+    # malformed header still reaches the dimacs parser's error.
+    g, labels = parse_graph_input("p q\nq r\nr s  # four-cycle\ns p\n",
+                                  input_format="auto")
+    assert g.n == 4 and labels == ("p", "q", "r", "s")
+    with pytest.raises(GraphInputError, match="expected 'p edge"):
+        parse_graph_input("p vertex 2 1\ne 1 2\n", input_format="auto")
 
 
 def test_enumerate_four_cycle_golden_output():
@@ -179,6 +186,16 @@ def test_verify_skips_oracle_above_limit():
     assert code == 0
     assert "oracle skipped: 5 non-edges exceed the limit of 3" in out
     assert "modes agree: yes" in out
+
+
+def test_negative_oracle_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "five.txt"
+    path.write_text(C5_EDGE_LIST)
+    assert main(["verify", str(path), "--oracle-limit", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--oracle-limit must be nonnegative" in captured.err
 
 
 def test_verify_fails_when_a_solution_is_dropped(monkeypatch):

@@ -406,3 +406,22 @@ def test_backtrack_reuses_the_ordering_the_child_test_built():
     assert calls[0] == stats.orderings
     assert calls[0] == candidates + stats.backtrack_walks - leaves
     assert calls[0] < candidates + stats.backtrack_walks
+
+
+def test_reverse_search_work_counters_are_frozen():
+    # The per-layer benchmark metrics read these counters; a change that
+    # alters the traversal's work on purpose updates them.
+    cases = [
+        (chordal_completion_system(helpers.cycle_graph(7)),
+         (42, 168, 191, 164, 41, 225, 3)),
+        (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)),
+         (21, 240, 217, 65, 20, 62, 3)),
+        (helpers.subset_swap_system(6, 3), (20, 791, 176, 81, 19, 63, 3)),
+    ]
+    names = ("solutions", "neighbor_evals", "orderings", "check_walks",
+             "backtrack_walks", "walk_steps", "peak_retained")
+    for system, frozen in cases:
+        stats = TraversalStats()
+        for _ in reverse_search(system, stats):
+            pass
+        assert stats.as_dict() == dict(zip(names, frozen))
