@@ -52,9 +52,8 @@ def minimal_chordal_completions(g: Graph, mode: str = "reverse_search",
     number of retained solutions) or ``visited_set`` (baseline breadth-first
     flood that keeps everything it has seen).
     """
-    system = chordal_completion_system(g)
-    if mode == "reverse_search":
-        return reverse_search(system, stats)
-    if mode == "visited_set":
-        return visited_set_search(system, stats)
-    raise ValueError(f"unknown mode {mode!r}")
+    searches = {"reverse_search": reverse_search,
+                "visited_set": visited_set_search}
+    if mode not in searches:
+        raise ValueError(f"unknown mode {mode!r}")
+    return searches[mode](chordal_completion_system(g), stats)

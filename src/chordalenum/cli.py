@@ -333,6 +333,14 @@ def run(config: RunConfig, out: Optional[TextIO] = None,
         print("error: --oracle-limit must be nonnegative, got "
               f"{config.oracle_limit}", file=err)
         return 2
+    if config.mode not in MODES:
+        print(f"error: --mode must be one of {', '.join(MODES)}, got "
+              f"{config.mode!r}", file=err)
+        return 2
+    if config.output_format not in FORMATS:
+        print(f"error: --format must be one of {', '.join(FORMATS)}, got "
+              f"{config.output_format!r}", file=err)
+        return 2
     try:
         if config.command == "enumerate":
             return _cmd_enumerate(config, out, err)

@@ -377,10 +377,17 @@ def flip(f: Completion, e: Edge) -> Completion:
     return Completion(f.base, _flip_mask(f.base, f.mask, _fill_index(f, e)))
 
 
-def _successor_mask(base: Graph, mask: int, i: int) -> int:
+def _successor_mask(base: Graph, mask: int, i: int,
+                    masks: Optional[list[int]] = None) -> int:
     """Flip fill index ``i`` out of ``mask``, then greedily reduce; one
-    adjacency build serves both halves."""
-    masks = _filled_masks(base, mask)
+    adjacency serves both halves.
+
+    ``masks``, when given, must be the filled adjacency of ``mask`` (as
+    ``_filled_masks`` builds it); it is edited in place and ends as the
+    result's.  Without it the adjacency is built here.
+    """
+    if masks is None:
+        masks = _filled_masks(base, mask)
     x, y = non_edges(base)[i]
     mask = (mask | _clique_fill(base, masks, x, y)) & ~(1 << i)
     masks[x] &= ~(1 << y)
@@ -403,8 +410,10 @@ def neighbor_completions(f: Completion) -> frozenset[Completion]:
     Never contains ``f`` itself: a successor by e never contains e, while
     every member of the family it is drawn from that equals ``f`` would.
     """
-    return frozenset(Completion(f.base, _successor_mask(f.base, f.mask, i))
-                     for i in _iter_bits(f.mask))
+    adj = f.supergraph_masks()
+    return frozenset(
+        Completion(f.base, _successor_mask(f.base, f.mask, i, list(adj)))
+        for i in _iter_bits(f.mask))
 
 
 def minimal_completion_root(g: Graph) -> Completion:

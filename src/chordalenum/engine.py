@@ -30,8 +30,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, Sequence
 
-from .completions import (Completion, RemovalTrace, _successor_mask,
-                          minimal_completion_root)
+from .completions import (Completion, RemovalTrace, _filled_masks,
+                          _successor_mask, minimal_completion_root)
 from .graph import Graph, non_edges
 
 
@@ -411,15 +411,52 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     (j+1)-th fill edge and reduces.  The ordering of a solution is the
     canonical removal trace of its complement, and the specialized next step
     flips exactly the ordering element right after the matched prefix.
+
+    Successors start from a stored filled adjacency where one is at hand:
+    the system keeps, as tuples keyed by fill mask, the root's adjacency
+    (built on first use) and those of the two other masks used last.  A
+    scan flips one node's fill edges in turn, walks restart at the root,
+    and the kernel ends holding its result's adjacency, which is the next
+    probe of a walk.  Entries are never edited, so traversals interleaved
+    over one system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
+    root_adj: Optional[tuple[int, ...]] = None
+    recent: dict[int, tuple[int, ...]] = {}  # least recently used first
+
+    def remember(mask: int, adj: tuple[int, ...]) -> None:
+        recent.pop(mask, None)
+        recent[mask] = adj
+        if len(recent) > 2:
+            del recent[next(iter(recent))]
+
+    def successor_mask(mask: int, i: int) -> int:
+        nonlocal root_adj
+        if mask == root.mask:
+            if root_adj is None:
+                root_adj = tuple(_filled_masks(g, mask))
+            masks = list(root_adj)
+        else:
+            adj = recent.get(mask)
+            if adj is None:
+                masks = _filled_masks(g, mask)
+                adj = tuple(masks)
+            else:
+                masks = list(adj)
+            remember(mask, adj)
+        result = _successor_mask(g, mask, i, masks)
+        if result != root.mask:
+            remember(result, tuple(masks))
+        elif root_adj is None:
+            root_adj = tuple(masks)
+        return result
 
     def neighbor_count(f: Completion) -> int:
         return f.mask.bit_count()
 
     def neighbor_at(f: Completion, j: int) -> Completion:
-        return Completion(g, _successor_mask(g, f.mask, _fill_index_at(f.mask, j)))
+        return Completion(g, successor_mask(f.mask, _fill_index_at(f.mask, j)))
 
     def ordering(f: Completion) -> RemovalTrace:
         return RemovalTrace(f)
@@ -447,7 +484,7 @@ def chordal_completion_system(g: Graph) -> SetSystem:
 
     def next_step(f: Completion, target: Completion, order: RemovalTrace,
                   i: int) -> Completion:
-        return Completion(g, _successor_mask(g, f.mask, step_edge(f, order, i)))
+        return Completion(g, successor_mask(f.mask, step_edge(f, order, i)))
 
     def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
         # A flip by edge e never re-adds e, so a candidate containing the

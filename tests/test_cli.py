@@ -146,6 +146,23 @@ def test_negative_limit_exits_two(tmp_path, capsys, command):
     assert "nonnegative" in captured.err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "count", "bench"])
+def test_unknown_mode_exits_two(command):
+    code, out, err = _run(RunConfig(command=command, text=C4_EDGE_LIST,
+                                    mode="bogus"))
+    assert (code, out) == (2, "")
+    assert err == "error: --mode must be one of reverse_search, " \
+        "visited_set, got 'bogus'\n"
+
+
+def test_unknown_output_format_exits_two():
+    code, out, err = _run(RunConfig(command="enumerate", text=C4_EDGE_LIST,
+                                    output_format="bogus"))
+    assert (code, out) == (2, "")
+    assert err == "error: --format must be one of edges, jsonlines, " \
+        "got 'bogus'\n"
+
+
 def test_enumerate_stats_go_to_stderr():
     config = RunConfig(command="enumerate", text=C4_EDGE_LIST, stats=True)
     code, out, err = _run(config)
@@ -304,6 +321,14 @@ def test_main_forwards_cli_flags(tmp_path, capsys):
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "chordalenum.cli", "count", "-"],
+        input=C5_EDGE_LIST, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == "5\n"
+
+
+def test_package_module_invocation_smoke():
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordalenum", "count", "-"],
         input=C5_EDGE_LIST, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "5\n"

@@ -8,12 +8,14 @@ import random
 
 import pytest
 
+import chordalenum.completions
+import chordalenum.engine
 import helpers
 from chordalenum import (Completion, Graph, ProximitySearchError, SetSystem,
                          TraversalStats, brute_force_minimal_completions,
                          canonical_path, children, chordal_completion_system,
                          next_toward, parent, proximity, removal_order,
-                         reverse_search, visited_set_search)
+                         reverse_search, successor, visited_set_search)
 
 
 def _c5_system():
@@ -425,3 +427,95 @@ def test_reverse_search_work_counters_are_frozen():
         for _ in reverse_search(system, stats):
             pass
         assert stats.as_dict() == dict(zip(names, frozen))
+
+
+def _count_builds(monkeypatch, *modules) -> list:
+    """Record the fill mask of every filled-adjacency build, patched where
+    ``modules`` read the builder."""
+    built = []
+    build = chordalenum.completions._filled_masks
+
+    def counted(base, mask):
+        built.append(mask)
+        return build(base, mask)
+    for module in modules:
+        monkeypatch.setattr(module, "_filled_masks", counted)
+    return built
+
+
+def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
+    # The chordal system starts successors from stored adjacencies; every
+    # answer must equal the uncached kernel's, whatever the call order: a
+    # scan of f, a walk from the root, the same scan again (after the walk
+    # evicted f), and two systems over different graphs interleaved.  Only
+    # the system's own builds are counted, not the reference's.
+    built = _count_builds(monkeypatch, chordalenum.engine)
+    rng = random.Random(75025)
+    calls = builds = rebuilt = 0
+    for _ in range(200):
+        g = helpers.random_graph_at_most(rng, rng.randint(4, 10), 14)
+        system = chordal_completion_system(g)
+        sols = list(visited_set_search(system))
+        f, target = rng.choice(sols), rng.choice(sols)
+        expected = [successor(f, e) for e in f.fill_edges]
+        built.clear()
+        assert [system.neighbor_at(f, j) for j in range(len(expected))] \
+            == expected
+        order = system.ordering(target)
+        probe, i = system.root, -1
+        while probe != target:
+            i = system.proximity(probe, order, i + 1)
+            j = system.step_position(probe, order, i)
+            step = system.next_step(probe, target, order, i)
+            assert step == successor(probe, probe.fill_edges[j])
+            probe = step
+            calls += 1
+        assert [system.neighbor_at(f, j) for j in range(len(expected))] \
+            == expected
+        calls += 2 * len(expected)
+        builds += len(built)
+        rebuilt += built.count(f.mask) > 1
+        other = chordal_completion_system(
+            helpers.random_graph_at_most(rng, rng.randint(4, 10), 14))
+        h = other.root
+        for j in range(max(len(expected), other.neighbor_count(h))):
+            if j < len(expected):
+                assert system.neighbor_at(f, j) == expected[j]
+            if j < other.neighbor_count(h):
+                assert other.neighbor_at(h, j) == \
+                    successor(h, h.fill_edges[j])
+    # The corpus reached hits (fewer builds than successor calls) and
+    # evictions (f built again after the walk dropped it).
+    assert builds < calls / 2
+    assert rebuilt > 0
+
+
+def test_interleaved_reverse_searches_share_one_system():
+    rng = random.Random(121393)
+    for _ in range(30):
+        g = helpers.random_graph_at_most(rng, rng.randint(5, 9), 14)
+        alone = list(reverse_search(chordal_completion_system(g)))
+        system = chordal_completion_system(g)
+        pairs = list(zip(reverse_search(system), reverse_search(system)))
+        assert [x for x, _ in pairs] == [y for _, y in pairs] == alone
+
+
+def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
+    # Set-up builds two (the root's chordality check and its prune); after
+    # that the stored adjacencies leave at most one build per solution,
+    # against one per successor call without them (393 successor calls on
+    # C7 with reverse search, 168 with the visited set).
+    built = _count_builds(monkeypatch, chordalenum.completions,
+                          chordalenum.engine)
+    cases = [
+        (helpers.cycle_graph(7), reverse_search, 42, 39),
+        (helpers.cycle_graph(7), visited_set_search, 42, 42),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 8),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 20),
+    ]
+    for g, search, solutions, builds in cases:
+        built.clear()
+        system = chordal_completion_system(g)
+        assert len(built) == 2
+        assert sum(1 for _ in search(system)) == solutions
+        assert len(built) - 2 == builds <= solutions

@@ -45,3 +45,12 @@ def test_minimal_chordal_completions_rejects_unknown_mode():
     g = helpers.cycle_graph(4)
     with pytest.raises(ValueError, match="unknown mode"):
         list(minimal_chordal_completions(g, mode="dfs"))
+
+
+def test_unknown_mode_is_rejected_before_any_work(monkeypatch):
+    built = []
+    monkeypatch.setattr(chordalenum, "chordal_completion_system",
+                        built.append)
+    with pytest.raises(ValueError, match="unknown mode"):
+        minimal_chordal_completions(helpers.cycle_graph(4), mode="dfs")
+    assert built == []
