@@ -42,6 +42,9 @@ __all__ = [
     "verify_solution_set", "visited_set_search",
 ]
 
+# The traversal behind each ``mode`` name; the CLI offers the same names.
+MODES = {"reverse_search": reverse_search, "visited_set": visited_set_search}
+
 
 def minimal_chordal_completions(g: Graph, mode: str = "reverse_search",
                                 stats: Optional[TraversalStats] = None
@@ -52,8 +55,6 @@ def minimal_chordal_completions(g: Graph, mode: str = "reverse_search",
     number of retained solutions) or ``visited_set`` (baseline breadth-first
     flood that keeps everything it has seen).
     """
-    searches = {"reverse_search": reverse_search,
-                "visited_set": visited_set_search}
-    if mode not in searches:
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return searches[mode](chordal_completion_system(g), stats)
+    return MODES[mode](chordal_completion_system(g), stats)

@@ -18,9 +18,9 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
-from . import minimal_chordal_completions
+from . import MODES, minimal_chordal_completions
 from .completions import Completion
 from .engine import (TraversalStats, chordal_completion_system, reverse_search,
                      visited_set_search)
@@ -28,14 +28,13 @@ from .graph import Graph, GraphInputError, non_edges
 from .oracle import (DEFAULT_GROUND_LIMIT, SolutionSet,
                      brute_force_minimal_completions, verify_solution_set)
 
-MODES = ("reverse_search", "visited_set")
-FORMATS = ("edges", "jsonlines")
-INPUT_FORMATS = ("auto", "edge_list", "dimacs")
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one CLI invocation needs, normalized from argparse."""
+    """Everything one CLI invocation needs, normalized from argparse.
+
+    The field defaults are the CLI's defaults; they are stated nowhere else.
+    """
 
     command: str
     text: str
@@ -59,17 +58,18 @@ def parse_graph_input(text: str, input_format: str = "auto"
     first token is ``p`` and which does not have the two tokens of an
     edge-list line (so a vertex may be labelled ``p``).
     """
-    if input_format == "auto":
-        has_header = any(
-            tokens[:1] == ["p"] and len(tokens) != 2
-            for tokens in (line.split("#", 1)[0].split()
-                           for line in text.splitlines()))
-        input_format = "dimacs" if has_header else "edge_list"
-    if input_format == "edge_list":
-        return _parse_edge_list(text)
-    if input_format == "dimacs":
-        return _parse_dimacs(text)
-    raise GraphInputError(f"unknown input format {input_format!r}")
+    parse = INPUT_FORMATS.get(input_format)
+    if parse is None:
+        raise GraphInputError(f"unknown input format {input_format!r}")
+    return parse(text)
+
+
+def _parse_auto(text: str) -> tuple[Graph, tuple[str, ...]]:
+    has_header = any(
+        tokens[:1] == ["p"] and len(tokens) != 2
+        for tokens in (line.split("#", 1)[0].split()
+                       for line in text.splitlines()))
+    return _parse_dimacs(text) if has_header else _parse_edge_list(text)
 
 
 def _parse_edge_list(text: str) -> tuple[Graph, tuple[str, ...]]:
@@ -147,6 +147,10 @@ def _parse_dimacs(text: str) -> tuple[Graph, tuple[str, ...]]:
     return Graph(n, edges), tuple(str(v) for v in range(1, n + 1))
 
 
+INPUT_FORMATS = {"auto": _parse_auto, "edge_list": _parse_edge_list,
+                 "dimacs": _parse_dimacs}
+
+
 def _format_edges(f: Completion, labels: tuple[str, ...]) -> str:
     if not f.mask:
         return "-"
@@ -159,17 +163,33 @@ def _format_jsonline(f: Completion, labels: tuple[str, ...]) -> str:
         separators=(",", ":"))
 
 
+OUTPUT_FORMATS = {"edges": _format_edges, "jsonlines": _format_jsonline}
+
+
+def _solutions(config: RunConfig, stats: TraversalStats
+               ) -> tuple[tuple[str, ...], Iterator[Completion]]:
+    """The input's vertex labels and its solutions, cut at the limit.
+
+    The input is parsed here, before the first solution is asked for.  A
+    limit past ``sys.maxsize`` (more than ``islice`` takes) is no limit.
+    """
+    g, labels = parse_graph_input(config.text, config.input_format)
+    limit = None if config.limit is None else min(config.limit, sys.maxsize)
+    return labels, islice(minimal_chordal_completions(g, config.mode, stats),
+                          limit)
+
+
 def _print_stats(stats: TraversalStats, out: TextIO) -> None:
     for name, value in stats.as_dict().items():
         print(f"{name}={value}", file=out)
 
 
 def _cmd_enumerate(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    g, labels = parse_graph_input(config.text, config.input_format)
+    """Stream all solutions."""
     stats = TraversalStats()
-    fmt = _format_jsonline if config.output_format == "jsonlines" else _format_edges
-    for f in islice(minimal_chordal_completions(g, config.mode, stats),
-                    config.limit):
+    labels, solutions = _solutions(config, stats)
+    fmt = OUTPUT_FORMATS[config.output_format]
+    for f in solutions:
         print(fmt(f, labels), file=out)
     if config.stats:
         _print_stats(stats, err)
@@ -177,33 +197,31 @@ def _cmd_enumerate(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_count(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    g, _ = parse_graph_input(config.text, config.input_format)
+    """Count all solutions."""
     stats = TraversalStats()
-    count = sum(1 for _ in islice(
-        minimal_chordal_completions(g, config.mode, stats), config.limit))
-    print(count, file=out)
+    _, solutions = _solutions(config, stats)
+    print(sum(1 for _ in solutions), file=out)
     if config.stats:
         _print_stats(stats, err)
     return 0
 
 
 def _cmd_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
+    """Cross-check both modes and the brute-force oracle."""
     g, _ = parse_graph_input(config.text, config.input_format)
     system = chordal_completion_system(g)
     produced = SolutionSet.collect(
         g, reverse_search(system), source="reverse_search")
     baseline = SolutionSet.collect(
         g, visited_set_search(system), source="visited_set")
-    print(f"reverse_search solutions: {len(produced)}", file=out)
-    print(f"visited_set solutions: {len(baseline)}", file=out)
-    ok = not produced.duplicates and not baseline.duplicates
-    if produced.duplicates:
-        print(f"reverse_search duplicates: {len(produced.duplicates)}",
-              file=out)
-    if baseline.duplicates:
-        print(f"visited_set duplicates: {len(baseline.duplicates)}", file=out)
+    for found in (produced, baseline):
+        print(f"{found.source} solutions: {len(found)}", file=out)
+    for found in (produced, baseline):
+        if found.duplicates:
+            print(f"{found.source} duplicates: {len(found.duplicates)}",
+                  file=out)
     modes_agree = produced.solutions == baseline.solutions
-    ok = ok and modes_agree
+    ok = modes_agree and not (produced.duplicates or baseline.duplicates)
     print(f"modes agree: {'yes' if modes_agree else 'no'}", file=out)
     ground = len(non_edges(g))
     if ground <= config.oracle_limit:
@@ -219,11 +237,10 @@ def _cmd_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_bench(config: RunConfig, out: TextIO, err: TextIO) -> int:
-    g, _ = parse_graph_input(config.text, config.input_format)
+    """Measure inter-solution delay."""
     stats = TraversalStats()
+    _, it = _solutions(config, stats)
     gaps = []
-    it = islice(minimal_chordal_completions(g, config.mode, stats),
-                config.limit)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -255,6 +272,10 @@ def _cmd_bench(config: RunConfig, out: TextIO, err: TextIO) -> int:
     return 0
 
 
+COMMANDS = {"enumerate": _cmd_enumerate, "count": _cmd_count,
+            "verify": _cmd_verify, "bench": _cmd_bench}
+
+
 def _read_input(path: str) -> str:
     source = "standard input" if path == "-" else path
     try:
@@ -275,44 +296,31 @@ def _read_input(path: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser.  A flag left off the command line is left out of
+    the parsed namespace; its default is the ``RunConfig`` field's."""
     parser = argparse.ArgumentParser(
         prog="chordalenum",
         description="Enumerate all minimal chordal completions of a graph.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    commands = {}
+    for name, command in COMMANDS.items():
+        p = commands[name] = sub.add_parser(
+            name, help=command.__doc__, argument_default=argparse.SUPPRESS)
         p.add_argument("path", nargs="?", default="-",
                        help="input file, or - for stdin (default)")
-        p.add_argument("--input-format", choices=INPUT_FORMATS,
-                       default="auto")
-
-    p_enum = sub.add_parser("enumerate", help="stream all solutions")
-    add_common(p_enum)
-    p_enum.add_argument("--mode", choices=MODES, default="reverse_search")
-    p_enum.add_argument("--limit", type=int, default=None,
-                        help="stop after this many solutions")
-    p_enum.add_argument("--format", choices=FORMATS, default="edges",
-                        dest="output_format")
-    p_enum.add_argument("--stats", action="store_true",
-                        help="print work counters to stderr")
-
-    p_count = sub.add_parser("count", help="count all solutions")
-    add_common(p_count)
-    p_count.add_argument("--mode", choices=MODES, default="reverse_search")
-    p_count.add_argument("--limit", type=int, default=None)
-    p_count.add_argument("--stats", action="store_true")
-
-    p_verify = sub.add_parser(
-        "verify", help="cross-check both modes and the brute-force oracle")
-    add_common(p_verify)
-    p_verify.add_argument("--oracle-limit", type=int,
-                          default=DEFAULT_GROUND_LIMIT,
-                          help="skip the oracle above this many non-edges")
-
-    p_bench = sub.add_parser("bench", help="measure inter-solution delay")
-    add_common(p_bench)
-    p_bench.add_argument("--mode", choices=MODES, default="reverse_search")
-    p_bench.add_argument("--limit", type=int, default=None)
+        p.add_argument("--input-format", choices=INPUT_FORMATS)
+    for name in ("enumerate", "count", "bench"):
+        commands[name].add_argument("--mode", choices=MODES)
+        commands[name].add_argument("--limit", type=int,
+                                    help="stop after this many solutions")
+    for name in ("enumerate", "count"):
+        commands[name].add_argument("--stats", action="store_true",
+                                    help="print work counters to stderr")
+    commands["enumerate"].add_argument("--format", choices=OUTPUT_FORMATS,
+                                       dest="output_format")
+    commands["verify"].add_argument(
+        "--oracle-limit", type=int,
+        help="skip the oracle above this many non-edges")
     return parser
 
 
@@ -325,50 +333,31 @@ def run(config: RunConfig, out: Optional[TextIO] = None,
     """
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    if config.limit is not None and config.limit < 0:
-        print(f"error: --limit must be nonnegative, got {config.limit}",
-              file=err)
-        return 2
-    if config.oracle_limit < 0:
-        print("error: --oracle-limit must be nonnegative, got "
-              f"{config.oracle_limit}", file=err)
-        return 2
-    if config.mode not in MODES:
-        print(f"error: --mode must be one of {', '.join(MODES)}, got "
-              f"{config.mode!r}", file=err)
-        return 2
-    if config.output_format not in FORMATS:
-        print(f"error: --format must be one of {', '.join(FORMATS)}, got "
-              f"{config.output_format!r}", file=err)
-        return 2
     try:
-        if config.command == "enumerate":
-            return _cmd_enumerate(config, out, err)
-        if config.command == "count":
-            return _cmd_count(config, out, err)
-        if config.command == "verify":
-            return _cmd_verify(config, out, err)
-        if config.command == "bench":
-            return _cmd_bench(config, out, err)
-        raise GraphInputError(f"unknown command {config.command!r}")
+        if config.limit is not None and config.limit < 0:
+            raise GraphInputError(
+                f"--limit must be nonnegative, got {config.limit}")
+        if config.oracle_limit < 0:
+            raise GraphInputError("--oracle-limit must be nonnegative, "
+                                  f"got {config.oracle_limit}")
+        for flag, value, table in (("--mode", config.mode, MODES),
+                                   ("--format", config.output_format,
+                                    OUTPUT_FORMATS)):
+            if value not in table:
+                raise GraphInputError(f"{flag} must be one of "
+                                      f"{', '.join(table)}, got {value!r}")
+        if config.command not in COMMANDS:
+            raise GraphInputError(f"unknown command {config.command!r}")
+        return COMMANDS[config.command](config, out, err)
     except GraphInputError as exc:
         print(f"error: {exc}", file=err)
         return 2
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
     try:
-        config = RunConfig(
-            command=args.command,
-            text=_read_input(args.path),
-            input_format=args.input_format,
-            mode=getattr(args, "mode", "reverse_search"),
-            limit=getattr(args, "limit", None),
-            output_format=getattr(args, "output_format", "edges"),
-            stats=getattr(args, "stats", False),
-            oracle_limit=getattr(args, "oracle_limit", DEFAULT_GROUND_LIMIT),
-        )
+        config = RunConfig(text=_read_input(args.pop("path")), **args)
         code = run(config)
         sys.stdout.flush()
     except GraphInputError as exc:

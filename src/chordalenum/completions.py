@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (Edge, Graph, GraphInputError, _is_chordal_masks,
-                    _iter_bits, non_edge_incidence, non_edge_index, non_edges)
+                    _iter_bits, ground_index, non_edge_incidence, non_edges)
 
 
 class Completion:
@@ -32,11 +32,9 @@ class Completion:
 
     @classmethod
     def from_edges(cls, base: Graph, fill: Iterable[Edge]) -> "Completion":
-        index = non_edge_index(base)
         mask = 0
         for u, v in fill:
-            key = (u, v) if u < v else (v, u)
-            i = index.get(key)
+            i = ground_index(base, u, v)
             if i is None:
                 raise GraphInputError(
                     f"({u}, {v}) is not a non-edge of the base graph")
@@ -104,10 +102,14 @@ def _filled_masks(base: Graph, mask: int) -> list[int]:
     return masks
 
 
-def _clique_fill(base: Graph, masks: list[int], x: int, y: int) -> int:
-    """Flip fill: complete the common neighborhood of ``x`` and ``y`` into a
-    clique in ``masks``, in place, and return the non-edge indices lying
-    inside it."""
+def _flip(base: Graph, masks: list[int], mask: int, i: int) -> int:
+    """Flip kernel: drop fill index ``i`` from ``mask`` and add every
+    non-edge lying inside the common neighborhood of its endpoints.
+
+    ``masks`` must be the filled adjacency of ``mask``; it is edited in
+    place into the flipped mask's, which is returned.
+    """
+    x, y = non_edges(base)[i]
     incident = non_edge_incidence(base)
     cn = masks[x] & masks[y]
     within = 0
@@ -120,7 +122,9 @@ def _clique_fill(base: Graph, masks: list[int], x: int, y: int) -> int:
         within |= incident[v] & seen
         seen |= incident[v]
         m ^= low
-    return within
+    masks[x] &= ~(1 << y)
+    masks[y] &= ~(1 << x)
+    return (mask | within) & ~(1 << i)
 
 
 def _deletions(base: Graph, masks: list[int], candidates: int,
@@ -186,11 +190,9 @@ def _require_chordal(f: Completion, op: str) -> None:
 def _allowed_mask(f: Completion, allowed: Optional[Iterable[Edge]]) -> int:
     if allowed is None:
         return f.mask
-    index = non_edge_index(f.base)
     mask = 0
     for u, v in allowed:
-        key = (u, v) if u < v else (v, u)
-        i = index.get(key)
+        i = ground_index(f.base, u, v)
         if i is not None:
             mask |= 1 << i
     return mask & f.mask
@@ -337,14 +339,13 @@ def proximity(f: Completion, order: Sequence[Edge]) -> int:
     the same base graph; passing it in precomputed keeps repeated proximity
     queries against one target cheap.
     """
-    index = non_edge_index(f.base)
     i = 0
     for u, v in order:
-        key = (u, v) if u < v else (v, u)
-        if key not in index:
+        j = ground_index(f.base, u, v)
+        if j is None:
             raise GraphInputError(
                 f"({u}, {v}) is not a non-edge of the base graph")
-        if f.mask >> index[key] & 1:
+        if f.mask >> j & 1:
             break
         i += 1
     return i
@@ -352,19 +353,10 @@ def proximity(f: Completion, order: Sequence[Edge]) -> int:
 
 def _fill_index(f: Completion, e: Edge) -> int:
     u, v = e
-    key = (u, v) if u < v else (v, u)
-    i = non_edge_index(f.base).get(key)
+    i = ground_index(f.base, u, v)
     if i is None or not f.mask >> i & 1:
         raise GraphInputError(f"({u}, {v}) is not a fill edge of this completion")
     return i
-
-
-def _flip_mask(base: Graph, mask: int, i: int) -> int:
-    """Flip kernel: drop fill index ``i`` and add every non-edge lying inside
-    the common neighborhood of its endpoints in the filled graph."""
-    x, y = non_edges(base)[i]
-    within = _clique_fill(base, _filled_masks(base, mask), x, y)
-    return (mask | within) & ~(1 << i)
 
 
 def flip(f: Completion, e: Edge) -> Completion:
@@ -374,7 +366,8 @@ def flip(f: Completion, e: Edge) -> Completion:
     When ``f`` is chordal the result is again a chordal completion; this is
     the step the enumeration uses to move between minimal completions.
     """
-    return Completion(f.base, _flip_mask(f.base, f.mask, _fill_index(f, e)))
+    return Completion(f.base, _flip(f.base, f.supergraph_masks(), f.mask,
+                                    _fill_index(f, e)))
 
 
 def _successor_mask(base: Graph, mask: int, i: int,
@@ -388,10 +381,7 @@ def _successor_mask(base: Graph, mask: int, i: int,
     """
     if masks is None:
         masks = _filled_masks(base, mask)
-    x, y = non_edges(base)[i]
-    mask = (mask | _clique_fill(base, masks, x, y)) & ~(1 << i)
-    masks[x] &= ~(1 << y)
-    masks[y] &= ~(1 << x)
+    mask = _flip(base, masks, mask, i)
     for j in _deletions(base, masks, mask):
         mask ^= 1 << j
     return mask

@@ -17,13 +17,6 @@ class GraphInputError(ValueError):
     """Malformed graph input: bad endpoint, self-loop, or unparsable text."""
 
 
-def edge(u: int, v: int) -> Edge:
-    """Normalize an edge so the smaller endpoint comes first."""
-    if u == v:
-        raise GraphInputError(f"self-loop ({u}, {v}) is not a valid edge")
-    return (u, v) if u < v else (v, u)
-
-
 def _iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in increasing order."""
     while mask:
@@ -104,11 +97,12 @@ def non_edges(g: Graph) -> tuple[Edge, ...]:
     return g._non_edges
 
 
-def non_edge_index(g: Graph) -> dict[Edge, int]:
-    """Map each non-edge of ``g`` to its position in :func:`non_edges`."""
+def ground_index(g: Graph, u: int, v: int) -> Optional[int]:
+    """Position of the pair {u, v}, in either order, in :func:`non_edges`;
+    None when it is not a non-edge of ``g``."""
     if g._ne_index is None:
         g._ne_index = {e: i for i, e in enumerate(non_edges(g))}
-    return g._ne_index
+    return g._ne_index.get((u, v) if u < v else (v, u))
 
 
 def non_edge_incidence(g: Graph) -> tuple[int, ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import shutil
@@ -10,9 +11,11 @@ import sys
 
 import pytest
 
+import chordalenum
 import chordalenum.cli as cli
-from chordalenum import GraphInputError
-from chordalenum.cli import RunConfig, main, parse_graph_input, run
+from chordalenum import GraphInputError, minimal_chordal_completions
+from chordalenum.cli import (RunConfig, build_parser, main, parse_graph_input,
+                             run)
 
 C4_EDGE_LIST = "0 1\n1 2\n2 3\n3 0\n"
 C5_EDGE_LIST = "0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -144,6 +147,27 @@ def test_negative_limit_exits_two(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "count", "bench"])
+def test_limit_past_maxsize_is_no_limit(tmp_path, capsys, command):
+    # ``islice`` takes no stop past sys.maxsize; no input has that many
+    # solutions, so such a limit cuts nothing.
+    huge = sys.maxsize + 1
+    path = tmp_path / "five.txt"
+    path.write_text(C5_EDGE_LIST)
+    assert main([command, str(path), "--limit", str(huge)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    code, via_run, _ = _run(RunConfig(command=command, text=C5_EDGE_LIST,
+                                      limit=huge))
+    assert code == 0
+    _, unlimited, _ = _run(RunConfig(command=command, text=C5_EDGE_LIST))
+    for out in (captured.out, via_run):
+        if command == "bench":
+            assert out.splitlines()[0] == "solutions=5"
+        else:
+            assert out == unlimited
 
 
 @pytest.mark.parametrize("command", ["enumerate", "count", "bench"])
@@ -294,6 +318,29 @@ def test_main_non_utf8_stdin_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "standard input is not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("command", ["enumerate", "count", "verify",
+                                     "bench"])
+def test_main_leaves_defaults_to_run_config(tmp_path, monkeypatch, command):
+    path = tmp_path / "five.txt"
+    path.write_text(C5_EDGE_LIST)
+    handed = []
+    monkeypatch.setattr(cli, "run", lambda config: handed.append(config) or 0)
+    assert main([command, str(path)]) == 0
+    assert handed == [RunConfig(command=command, text=C5_EDGE_LIST)]
+
+
+def test_mode_choices_are_the_library_modes():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("enumerate", "count", "bench"):
+        mode = next(a for a in sub.choices[command]._actions
+                    if a.dest == "mode")
+        assert list(mode.choices) == list(chordalenum.MODES)
+    g, _ = parse_graph_input(C5_EDGE_LIST)
+    for name in chordalenum.MODES:
+        assert len(list(minimal_chordal_completions(g, name))) == 5
 
 
 def test_main_interrupt_exits_130(tmp_path, monkeypatch, capsys):
