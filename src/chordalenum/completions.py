@@ -182,9 +182,13 @@ def is_chordal_completion(f: Completion) -> bool:
     return _is_chordal_masks(f.base.n, f.supergraph_masks())
 
 
-def _require_chordal(f: Completion, op: str) -> None:
-    if not is_chordal_completion(f):
+def _require_chordal(f: Completion, op: str) -> list[int]:
+    """The filled adjacency of ``f``, built once and checked chordal (a
+    fresh mutable list); ``op`` names the caller in the error."""
+    masks = f.supergraph_masks()
+    if not _is_chordal_masks(f.base.n, masks):
         raise ValueError(f"{op} requires a chordal completion")
+    return masks
 
 
 def _allowed_mask(f: Completion, allowed: Optional[Iterable[Edge]]) -> int:
@@ -207,9 +211,8 @@ def removable_edges(f: Completion,
     x and y in the filled graph induces a clique; that criterion is what this
     function evaluates.
     """
-    _require_chordal(f, "removable_edges")
+    masks = _require_chordal(f, "removable_edges")
     ne = non_edges(f.base)
-    masks = f.supergraph_masks()
     return frozenset(
         ne[i] for i in _iter_bits(_allowed_mask(f, allowed))
         if next(_deletions(f.base, list(masks), 1 << i), None) is not None)
@@ -223,10 +226,9 @@ def prune(f: Completion,
     With ``allowed=None`` the result is a minimal chordal completion
     contained in ``f``.
     """
-    _require_chordal(f, "prune")
+    masks = _require_chordal(f, "prune")
     mask = f.mask
-    allowed_mask = _allowed_mask(f, allowed)
-    for i in _deletions(f.base, f.supergraph_masks(), allowed_mask):
+    for i in _deletions(f.base, masks, _allowed_mask(f, allowed)):
         mask ^= 1 << i
     return Completion(f.base, mask)
 
@@ -234,8 +236,7 @@ def prune(f: Completion,
 def is_minimal(f: Completion) -> bool:
     """Whether ``f`` is a minimal chordal completion (chordal, and no fill
     edge can be dropped without breaking chordality)."""
-    _require_chordal(f, "is_minimal")
-    kernel = _deletions(f.base, f.supergraph_masks(), f.mask)
+    kernel = _deletions(f.base, _require_chordal(f, "is_minimal"), f.mask)
     return next(kernel, None) is None
 
 
@@ -370,17 +371,13 @@ def flip(f: Completion, e: Edge) -> Completion:
                                     _fill_index(f, e)))
 
 
-def _successor_mask(base: Graph, mask: int, i: int,
-                    masks: Optional[list[int]] = None) -> int:
+def _successor_mask(base: Graph, mask: int, i: int, masks: list[int]) -> int:
     """Flip fill index ``i`` out of ``mask``, then greedily reduce; one
     adjacency serves both halves.
 
-    ``masks``, when given, must be the filled adjacency of ``mask`` (as
-    ``_filled_masks`` builds it); it is edited in place and ends as the
-    result's.  Without it the adjacency is built here.
+    ``masks`` must be the filled adjacency of ``mask`` (as ``_filled_masks``
+    builds it); it is edited in place and ends as the result's.
     """
-    if masks is None:
-        masks = _filled_masks(base, mask)
     mask = _flip(base, masks, mask, i)
     for j in _deletions(base, masks, mask):
         mask ^= 1 << j
@@ -390,8 +387,8 @@ def _successor_mask(base: Graph, mask: int, i: int,
 def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
     back to a minimal one."""
-    return Completion(f.base,
-                      _successor_mask(f.base, f.mask, _fill_index(f, e)))
+    return Completion(f.base, _successor_mask(
+        f.base, f.mask, _fill_index(f, e), f.supergraph_masks()))
 
 
 def neighbor_completions(f: Completion) -> frozenset[Completion]:

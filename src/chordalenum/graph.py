@@ -14,7 +14,8 @@ Edge = tuple[int, int]
 
 
 class GraphInputError(ValueError):
-    """Malformed graph input: bad endpoint, self-loop, or unparsable text."""
+    """Malformed graph input: bad endpoint, self-loop, a vertex count too
+    large to build, or unparsable text."""
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -39,7 +40,10 @@ class Graph:
     def __init__(self, n: int, edge_list: Iterable[Edge] = ()) -> None:
         if n < 0:
             raise GraphInputError(f"vertex count must be nonnegative, got {n}")
-        masks = [0] * n
+        try:
+            masks = [0] * n
+        except (OverflowError, MemoryError):
+            raise GraphInputError(f"vertex count {n} is too large") from None
         for u, v in edge_list:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphInputError(
@@ -128,20 +132,21 @@ def common_neighborhood(g: Graph, x: int, y: int) -> frozenset[int]:
 
 
 def _is_chordal_masks(n: int, adj_masks) -> bool:
-    """Chordality test on a bitmask adjacency.
+    """Chordality test on a bitmask adjacency, in one pass of maximum
+    cardinality search (MCS).
 
-    Runs maximum cardinality search to produce a candidate elimination
-    order, renumbers vertices by elimination position, and accepts iff for
-    every vertex the neighbors eliminated after it, minus the closest one,
-    are all adjacent to that closest one (the standard follower check, two
-    bit operations per vertex after renumbering).
+    MCS visits next an unvisited vertex with the most visited neighbors.
+    As each vertex is visited the loop checks that its neighbors visited
+    before it form a clique, and rejects on the first that do not.  That
+    condition on every vertex says the reverse of the visit order is a
+    perfect elimination order, so passing it proves the graph chordal; and
+    on a chordal graph the reverse of any MCS order is a perfect
+    elimination order (Tarjan and Yannakakis, SIAM J. Comput. 1984), so no
+    chordal graph is rejected.
     """
-    if n <= 3:
-        return True
-    order = [0] * n
     weights = [0] * n
     unvisited = (1 << n) - 1
-    for pos in range(n - 1, -1, -1):
+    while unvisited:
         best, best_w = -1, -1
         m = unvisited
         while m:
@@ -150,35 +155,21 @@ def _is_chordal_masks(n: int, adj_masks) -> bool:
             if weights[v] > best_w:
                 best, best_w = v, weights[v]
             m ^= low
-        order[pos] = best
+        earlier = adj_masks[best] & ~unvisited
+        m = earlier
+        while m:
+            low = m & -m
+            # u is in earlier and never in its own adjacency, so earlier
+            # misses an edge at u exactly when more than u is outside it.
+            if earlier & ~adj_masks[low.bit_length() - 1] != low:
+                return False
+            m ^= low
         unvisited ^= 1 << best
         m = adj_masks[best] & unvisited
         while m:
             low = m & -m
             weights[low.bit_length() - 1] += 1
             m ^= low
-    pos_of = [0] * n
-    for pos, v in enumerate(order):
-        pos_of[v] = pos
-    # Renumber adjacency by elimination position: earlier neighbors of a
-    # vertex are exactly the set bits below its own position.
-    radj = [0] * n
-    for v in range(n):
-        m = adj_masks[v]
-        acc = 0
-        while m:
-            low = m & -m
-            acc |= 1 << pos_of[low.bit_length() - 1]
-            m ^= low
-        radj[pos_of[v]] = acc
-    for p in range(n - 1):
-        later = radj[p] & ~((1 << (p + 1)) - 1)
-        if not later:
-            continue
-        low = later & -later
-        u = low.bit_length() - 1
-        if (later ^ low) & ~radj[u]:
-            return False
     return True
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import io
 import json
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -20,6 +23,11 @@ from chordalenum.cli import (RunConfig, build_parser, main, parse_graph_input,
 C4_EDGE_LIST = "0 1\n1 2\n2 3\n3 0\n"
 C5_EDGE_LIST = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 C5_DIMACS = "c five cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+# A README transcript: "$ printf '<input>' | chordalenum <command> -", then
+# the output lines shown, up to a blank line, a fence or the next prompt.
+TRANSCRIPT = re.compile(r"^\$ printf '([^']*)' \| chordalenum (\w+) -\n"
+                        r"((?:[^\n$`][^\n]*\n)*)", re.MULTILINE)
 
 
 def _run(config: RunConfig) -> tuple[int, str, str]:
@@ -318,6 +326,27 @@ def test_main_non_utf8_stdin_exits_two(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "standard input is not UTF-8" in captured.err
+
+
+def test_main_huge_vertex_count_exits_two(monkeypatch, capsys):
+    # Too large to index a list, and too large to allocate one.
+    for n in (10**19, 10**15):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"p edge {n} 0\n"))
+        assert main(["count", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vertex count {n} is too large\n"
+
+
+def test_readme_transcripts_replay(monkeypatch, capsys):
+    transcripts = TRANSCRIPT.findall(README.read_text(encoding="utf-8"))
+    assert {command for _, command, _ in transcripts} == \
+        {"enumerate", "count", "verify"}
+    for printed, command, shown in transcripts:
+        stdin = codecs.decode(printed, "unicode_escape")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        assert main([command, "-"]) == 0
+        assert capsys.readouterr().out == shown, (command, printed)
 
 
 @pytest.mark.parametrize("command", ["enumerate", "count", "verify",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import networkx as nx
@@ -9,8 +10,10 @@ import pytest
 
 import helpers
 from chordalenum import (Graph, GraphInputError, build_graph,
-                         common_neighborhood, find_chordless_cycle,
-                         is_chordal, non_edges)
+                         chordal_completion_system, common_neighborhood,
+                         find_chordless_cycle, is_chordal, non_edges,
+                         reverse_search)
+from test_acceptance import BIG_INSTANCE_EDGES
 
 
 def test_build_graph_collapses_duplicate_edges():
@@ -34,6 +37,11 @@ def test_build_graph_rejects_out_of_range_endpoint():
 def test_build_graph_rejects_negative_vertex_count():
     with pytest.raises(GraphInputError):
         build_graph(-1, [])
+
+
+def test_graph_rejects_a_vertex_count_too_large_to_build():
+    with pytest.raises(GraphInputError, match="too large"):
+        Graph(10**19)
 
 
 def test_adjacency_views_agree():
@@ -89,6 +97,16 @@ def test_is_chordal_matches_networkx_on_random_graphs():
         k = rng.randint(0, n * (n - 1) // 2)
         g = helpers.random_graph(rng, n, k)
         assert is_chordal(g) == nx.is_chordal(helpers.to_networkx(g)), g.edges
+    # Benchmark-size inputs: the filled graphs of the first solutions of the
+    # 14-vertex cubic instance, each also with one fill edge removed (never
+    # chordal, since the completion is minimal).
+    system = chordal_completion_system(Graph(14, BIG_INSTANCE_EDGES))
+    for f in itertools.islice(reverse_search(system), 300):
+        filled = f.supergraph()
+        cut = Graph(14, filled.edges - {rng.choice(f.fill_edges)})
+        for g in (filled, cut):
+            assert is_chordal(g) == nx.is_chordal(helpers.to_networkx(g)), \
+                g.edges
 
 
 def test_is_chordal_handles_disconnected_graphs():
