@@ -16,15 +16,13 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .completions import (Completion, flip, is_chordal_completion, is_minimal,
-                          minimal_completion_root, neighbor_completions,
-                          proximity, prune, removable_edges, removal_order,
-                          successor)
+                          minimal_completion_root, proximity, prune,
+                          removable_edges, removal_order, successor)
 from .engine import (ProximitySearchError, SetSystem, TraversalStats,
                      canonical_path, children, chordal_completion_system,
                      next_toward, parent, reverse_search, visited_set_search)
-from .graph import (Edge, Graph, GraphInputError, build_graph,
-                    common_neighborhood, find_chordless_cycle, is_chordal,
-                    non_edges)
+from .graph import (Edge, Graph, GraphInputError, find_chordless_cycle,
+                    is_chordal, non_edges)
 from .oracle import (SolutionSet, VerificationReport,
                      brute_force_minimal_completions, verify_solution_set)
 
@@ -33,13 +31,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Completion", "Edge", "Graph", "GraphInputError", "ProximitySearchError",
     "SetSystem", "SolutionSet", "TraversalStats", "VerificationReport",
-    "brute_force_minimal_completions", "build_graph", "canonical_path",
-    "children", "chordal_completion_system", "common_neighborhood",
-    "find_chordless_cycle", "flip", "is_chordal", "is_chordal_completion",
-    "is_minimal", "minimal_chordal_completions", "minimal_completion_root",
-    "neighbor_completions", "next_toward", "non_edges", "parent", "proximity",
-    "prune", "removable_edges", "removal_order", "reverse_search", "successor",
-    "verify_solution_set", "visited_set_search",
+    "brute_force_minimal_completions", "canonical_path", "children",
+    "chordal_completion_system", "find_chordless_cycle", "flip", "is_chordal",
+    "is_chordal_completion", "is_minimal", "minimal_chordal_completions",
+    "minimal_completion_root", "next_toward", "non_edges", "parent",
+    "proximity", "prune", "removable_edges", "removal_order", "reverse_search",
+    "successor", "verify_solution_set", "visited_set_search",
 ]
 
 # The traversal behind each ``mode`` name; the CLI offers the same names.

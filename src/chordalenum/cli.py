@@ -210,10 +210,10 @@ def _cmd_verify(config: RunConfig, out: TextIO, err: TextIO) -> int:
     """Cross-check both modes and the brute-force oracle."""
     g, _ = parse_graph_input(config.text, config.input_format)
     system = chordal_completion_system(g)
-    produced = SolutionSet.collect(
-        g, reverse_search(system), source="reverse_search")
-    baseline = SolutionSet.collect(
-        g, visited_set_search(system), source="visited_set")
+    produced = SolutionSet.collect(reverse_search(system),
+                                   source="reverse_search")
+    baseline = SolutionSet.collect(visited_set_search(system),
+                                   source="visited_set")
     for found in (produced, baseline):
         print(f"{found.source} solutions: {len(found)}", file=out)
     for found in (produced, baseline):

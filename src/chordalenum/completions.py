@@ -65,10 +65,6 @@ class Completion:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def supergraph_masks(self) -> list[int]:
-        """Adjacency bitmasks of the filled graph (a fresh mutable list)."""
-        return _filled_masks(self.base, self.mask)
-
     def supergraph(self) -> Graph:
         """The base graph with the fill edges added."""
         return Graph(self.base.n,
@@ -179,13 +175,13 @@ def _deletions(base: Graph, masks: list[int], candidates: int,
 
 def is_chordal_completion(f: Completion) -> bool:
     """Whether the base graph plus the fill edges is chordal."""
-    return _is_chordal_masks(f.base.n, f.supergraph_masks())
+    return _is_chordal_masks(f.base.n, _filled_masks(f.base, f.mask))
 
 
 def _require_chordal(f: Completion, op: str) -> list[int]:
     """The filled adjacency of ``f``, built once and checked chordal (a
     fresh mutable list); ``op`` names the caller in the error."""
-    masks = f.supergraph_masks()
+    masks = _filled_masks(f.base, f.mask)
     if not _is_chordal_masks(f.base.n, masks):
         raise ValueError(f"{op} requires a chordal completion")
     return masks
@@ -367,8 +363,8 @@ def flip(f: Completion, e: Edge) -> Completion:
     When ``f`` is chordal the result is again a chordal completion; this is
     the step the enumeration uses to move between minimal completions.
     """
-    return Completion(f.base, _flip(f.base, f.supergraph_masks(), f.mask,
-                                    _fill_index(f, e)))
+    return Completion(f.base, _flip(f.base, _filled_masks(f.base, f.mask),
+                                    f.mask, _fill_index(f, e)))
 
 
 def _successor_mask(base: Graph, mask: int, i: int, masks: list[int]) -> int:
@@ -388,19 +384,7 @@ def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
     back to a minimal one."""
     return Completion(f.base, _successor_mask(
-        f.base, f.mask, _fill_index(f, e), f.supergraph_masks()))
-
-
-def neighbor_completions(f: Completion) -> frozenset[Completion]:
-    """The distinct successors of ``f`` across all of its fill edges.
-
-    Never contains ``f`` itself: a successor by e never contains e, while
-    every member of the family it is drawn from that equals ``f`` would.
-    """
-    adj = f.supergraph_masks()
-    return frozenset(
-        Completion(f.base, _successor_mask(f.base, f.mask, i, list(adj)))
-        for i in _iter_bits(f.mask))
+        f.base, f.mask, _fill_index(f, e), _filled_masks(f.base, f.mask)))
 
 
 def minimal_completion_root(g: Graph) -> Completion:

@@ -91,42 +91,32 @@ class SetSystem:
                              "the neighbor position that step takes")
 
 
-_GAPPED = ("neighbor_evals", "check_walks", "backtrack_walks", "orderings",
-           "walk_steps")
+_COUNTERS = ("neighbor_evals", "orderings", "check_walks", "backtrack_walks",
+             "walk_steps")
 
 
 class TraversalStats:
     """Work and memory counters for one traversal.
 
-    ``peak_retained`` tracks the largest number of solutions the traversal
-    held at once in its named slots (current node, candidate child, walk
-    probe); the visited-set baseline counts its whole visited set instead.
-    With ``record_gaps`` the per-emission deltas of the work counters are
-    kept in ``gap_<counter>`` lists, which is what the delay-structure
-    assertions read.
+    ``solutions`` counts emissions, and each name in ``_COUNTERS`` is a work
+    counter.  ``peak_retained`` tracks the largest number of solutions the
+    traversal held at once in its named slots (current node, candidate
+    child, walk probe); the visited-set baseline counts its whole visited
+    set instead.  With ``record_gaps`` the per-emission deltas of the work
+    counters are kept in ``gap_<counter>`` lists, which is what the
+    delay-structure assertions read.
     """
 
-    __slots__ = ("solutions", "neighbor_evals", "orderings", "check_walks",
-                 "backtrack_walks", "walk_steps", "peak_retained",
-                 "record_gaps", "gap_neighbor_evals", "gap_check_walks",
-                 "gap_backtrack_walks", "gap_orderings", "gap_walk_steps",
-                 "_last")
+    __slots__ = ("solutions", *_COUNTERS, "peak_retained", "record_gaps",
+                 *("gap_" + c for c in _COUNTERS), "_last")
 
     def __init__(self, record_gaps: bool = False) -> None:
-        self.solutions = 0
-        self.neighbor_evals = 0
-        self.orderings = 0
-        self.check_walks = 0
-        self.backtrack_walks = 0
-        self.walk_steps = 0
-        self.peak_retained = 0
+        self.solutions = self.peak_retained = 0
+        for c in _COUNTERS:
+            setattr(self, c, 0)
+            setattr(self, "gap_" + c, [])
         self.record_gaps = record_gaps
-        self.gap_neighbor_evals: list[int] = []
-        self.gap_check_walks: list[int] = []
-        self.gap_backtrack_walks: list[int] = []
-        self.gap_orderings: list[int] = []
-        self.gap_walk_steps: list[int] = []
-        self._last = (0,) * len(_GAPPED)
+        self._last = (0,) * len(_COUNTERS)
 
     def note_retained(self, count: int) -> None:
         if count > self.peak_retained:
@@ -135,16 +125,14 @@ class TraversalStats:
     def note_emission(self) -> None:
         self.solutions += 1
         if self.record_gaps:
-            now = tuple(getattr(self, c) for c in _GAPPED)
-            for c, a, b in zip(_GAPPED, now, self._last):
+            now = tuple(getattr(self, c) for c in _COUNTERS)
+            for c, a, b in zip(_COUNTERS, now, self._last):
                 getattr(self, "gap_" + c).append(a - b)
             self._last = now
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name)
-                for name in ("solutions", "neighbor_evals", "orderings",
-                             "check_walks", "backtrack_walks", "walk_steps",
-                             "peak_retained")}
+                for name in ("solutions", *_COUNTERS, "peak_retained")}
 
 
 def _step_position(system: SetSystem, f: Any, order: Sequence,

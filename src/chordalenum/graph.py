@@ -14,8 +14,8 @@ Edge = tuple[int, int]
 
 
 class GraphInputError(ValueError):
-    """Malformed graph input: bad endpoint, self-loop, a vertex count too
-    large to build, or unparsable text."""
+    """Malformed graph input: bad endpoint, self-loop, a graph too large to
+    build or to list the non-edges of, or unparsable text."""
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -29,6 +29,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 class Graph:
     """Immutable simple undirected graph.
 
+    Duplicate edges, including reversed duplicates, collapse to one edge.
+    Self-loops and out-of-range endpoints raise :class:`GraphInputError`.
     Derived data that the completion machinery needs repeatedly (the sorted
     non-edge list, its index map, and per-vertex masks of incident non-edge
     indices) is computed lazily and cached on the instance.
@@ -61,9 +63,6 @@ class Graph:
         self._ne_index: Optional[dict[Edge, int]] = None
         self._ne_incident: Optional[tuple[int, ...]] = None
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u] if 0 <= u < self.n else False
 
@@ -79,15 +78,6 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
-def build_graph(n: int, edge_list: Iterable[Edge]) -> Graph:
-    """Build a graph from a vertex count and an edge list.
-
-    Duplicate edges, including reversed duplicates, collapse to one edge.
-    Self-loops and out-of-range endpoints raise :class:`GraphInputError`.
-    """
-    return Graph(n, edge_list)
-
-
 def non_edges(g: Graph) -> tuple[Edge, ...]:
     """All vertex pairs of ``g`` that are not edges, in lexicographic order.
 
@@ -95,9 +85,14 @@ def non_edges(g: Graph) -> tuple[Edge, ...]:
     ordering, and traversal in this package refers to.
     """
     if g._non_edges is None:
-        g._non_edges = tuple(
-            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-            if v not in g.adj[u])
+        try:
+            g._non_edges = tuple(
+                (u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                if v not in g.adj[u])
+        except MemoryError:
+            raise GraphInputError(
+                f"{g.n} vertices with {len(g.edges)} edges leave too many "
+                "non-edges to list") from None
     return g._non_edges
 
 
@@ -119,16 +114,6 @@ def non_edge_incidence(g: Graph) -> tuple[int, ...]:
             inc[v] |= 1 << i
         g._ne_incident = tuple(inc)
     return g._ne_incident
-
-
-def common_neighborhood(g: Graph, x: int, y: int) -> frozenset[int]:
-    """Vertices adjacent to both ``x`` and ``y``."""
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise GraphInputError(f"vertex pair ({x}, {y}) outside 0..{g.n - 1}")
-    if x == y:
-        raise GraphInputError(f"common neighborhood of ({x}, {y}) needs two "
-                              "distinct vertices")
-    return frozenset(_iter_bits(g.adj_masks[x] & g.adj_masks[y]))
 
 
 def _is_chordal_masks(n: int, adj_masks) -> bool:

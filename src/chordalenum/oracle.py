@@ -27,13 +27,12 @@ class SolutionSet:
     ``solutions`` is the deduplicated family.
     """
 
-    graph: Graph
     solutions: frozenset[Completion]
     source: str
     duplicates: tuple[Completion, ...] = ()
 
     @classmethod
-    def collect(cls, graph: Graph, produced: Iterable[Completion],
+    def collect(cls, produced: Iterable[Completion],
                 source: str) -> "SolutionSet":
         seen: set[Completion] = set()
         dups: list[Completion] = []
@@ -42,7 +41,7 @@ class SolutionSet:
                 dups.append(f)
             else:
                 seen.add(f)
-        return cls(graph=graph, solutions=frozenset(seen), source=source,
+        return cls(solutions=frozenset(seen), source=source,
                    duplicates=tuple(dups))
 
     def __len__(self) -> int:
@@ -86,7 +85,7 @@ def brute_force_minimal_completions(g: Graph,
                 level_exhausted = False
         if level_exhausted:
             break
-    return SolutionSet.collect(g, out, source="brute-force")
+    return SolutionSet.collect(out, source="brute-force")
 
 
 @dataclass(frozen=True)
@@ -108,21 +107,17 @@ class VerificationReport:
         return not (self.missing or self.extra or self.not_chordal
                     or self.not_minimal or self.duplicates)
 
-    def lines(self) -> list[str]:
-        if self.ok:
-            return ["verification ok"]
-        out = []
-        for label, group in (("missing", self.missing),
-                             ("extra", self.extra),
-                             ("not chordal", self.not_chordal),
-                             ("not minimal", self.not_minimal),
-                             ("duplicate", self.duplicates)):
-            for f in group:
-                out.append(f"{label}: {f!r}")
-        return out
-
     def __str__(self) -> str:
-        return "\n".join(self.lines())
+        if self.ok:
+            return "verification ok"
+        return "\n".join(
+            f"{label}: {f!r}"
+            for label, group in (("missing", self.missing),
+                                 ("extra", self.extra),
+                                 ("not chordal", self.not_chordal),
+                                 ("not minimal", self.not_minimal),
+                                 ("duplicate", self.duplicates))
+            for f in group)
 
 
 def verify_solution_set(produced: SolutionSet,

@@ -338,6 +338,26 @@ def test_main_huge_vertex_count_exits_two(monkeypatch, capsys):
         assert captured.err == f"error: vertex count {n} is too large\n"
 
 
+def test_main_too_many_non_edges_exits_two():
+    # 20,000 vertices build, but their ~2e8 non-edges do not fit under the
+    # child's address-space cap; the cap applies to that child only.
+    resource = pytest.importorskip("resource")
+    cap = 512 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chordalenum", "count", "-"],
+        input="p edge 20000 0\n", capture_output=True, text=True,
+        timeout=120, preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_readme_transcripts_replay(monkeypatch, capsys):
     transcripts = TRANSCRIPT.findall(README.read_text(encoding="utf-8"))
     assert {command for _, command, _ in transcripts} == \

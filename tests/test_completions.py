@@ -7,11 +7,10 @@ import random
 import pytest
 
 import helpers
-from chordalenum import (Completion, Graph, GraphInputError, build_graph, flip,
-                         is_chordal, is_chordal_completion, is_minimal,
-                         minimal_completion_root, neighbor_completions,
-                         non_edges, proximity, prune, removable_edges,
-                         removal_order, successor)
+from chordalenum import (Completion, Graph, GraphInputError, flip, is_chordal,
+                         is_chordal_completion, is_minimal,
+                         minimal_completion_root, non_edges, proximity, prune,
+                         removable_edges, removal_order, successor)
 from helpers import flip_graph, removable_edges_by_retest
 
 
@@ -167,7 +166,7 @@ def test_removal_order_is_permutation_of_complement():
 
 
 def test_removal_order_rejects_non_minimal_completion():
-    base = build_graph(3, [])
+    base = Graph(3)
     padded = Completion.from_edges(base, [(0, 1)])
     assert is_chordal_completion(padded)
     with pytest.raises(ValueError):
@@ -237,6 +236,7 @@ def test_flip_graph_preserves_chordality_on_random_chordal_graphs():
 def test_successor_frozen_value(c5):
     root = Completion.from_edges(c5, [(1, 4), (2, 4)])
     assert successor(root, (1, 4)) == Completion.from_edges(c5, [(0, 2), (2, 4)])
+    assert successor(root, (2, 4)) == Completion.from_edges(c5, [(1, 3), (1, 4)])
 
 
 def test_successor_is_pruned_flip():
@@ -246,6 +246,7 @@ def test_successor_is_pruned_flip():
         f = prune(Completion.full(base))
         for e in f.fill_edges:
             s = successor(f, e)
+            assert s != f
             assert s == prune(flip(f, e))
             assert is_minimal(s)
 
@@ -254,24 +255,6 @@ def test_successor_rejects_non_fill_edge(c5):
     root = Completion.from_edges(c5, [(1, 4), (2, 4)])
     with pytest.raises(GraphInputError):
         successor(root, (0, 3))
-
-
-def test_neighbor_completions_frozen_value(c5):
-    root = Completion.from_edges(c5, [(1, 4), (2, 4)])
-    assert neighbor_completions(root) == frozenset({
-        Completion.from_edges(c5, [(0, 2), (2, 4)]),
-        Completion.from_edges(c5, [(1, 3), (1, 4)]),
-    })
-
-
-def test_neighbor_completions_are_minimal_and_exclude_self():
-    rng = random.Random(10946)
-    for _ in range(60):
-        base = _random_base(rng, rng.randint(4, 7), 8)
-        f = prune(Completion.full(base))
-        for nb in neighbor_completions(f):
-            assert nb != f
-            assert is_minimal(nb)
 
 
 def test_kernel_matches_greedy_retest_reference():

@@ -9,34 +9,33 @@ import networkx as nx
 import pytest
 
 import helpers
-from chordalenum import (Graph, GraphInputError, build_graph,
-                         chordal_completion_system, common_neighborhood,
+from chordalenum import (Graph, GraphInputError, chordal_completion_system,
                          find_chordless_cycle, is_chordal, non_edges,
                          reverse_search)
 from test_acceptance import BIG_INSTANCE_EDGES
 
 
 def test_build_graph_collapses_duplicate_edges():
-    g = build_graph(3, [(0, 1), (1, 0)])
+    g = Graph(3, [(0, 1), (1, 0)])
     assert g.edges == frozenset({(0, 1)})
     assert g.n == 3
 
 
 def test_build_graph_rejects_self_loop():
     with pytest.raises(GraphInputError) as exc:
-        build_graph(2, [(0, 0)])
+        Graph(2, [(0, 0)])
     assert "(0, 0)" in str(exc.value)
 
 
 def test_build_graph_rejects_out_of_range_endpoint():
     with pytest.raises(GraphInputError) as exc:
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     assert "(0, 3)" in str(exc.value)
 
 
 def test_build_graph_rejects_negative_vertex_count():
     with pytest.raises(GraphInputError):
-        build_graph(-1, [])
+        Graph(-1, [])
 
 
 def test_graph_rejects_a_vertex_count_too_large_to_build():
@@ -45,9 +44,9 @@ def test_graph_rejects_a_vertex_count_too_large_to_build():
 
 
 def test_adjacency_views_agree():
-    g = build_graph(5, [(0, 1), (1, 2), (0, 4)])
-    assert g.neighbors(0) == frozenset({1, 4})
-    assert g.neighbors(3) == frozenset()
+    g = Graph(5, [(0, 1), (1, 2), (0, 4)])
+    assert g.adj[0] == frozenset({1, 4})
+    assert g.adj[3] == frozenset()
     assert g.has_edge(1, 0) and not g.has_edge(2, 3)
     for v in range(g.n):
         assert g.adj[v] == frozenset(
@@ -149,22 +148,6 @@ def test_find_chordless_cycle_agrees_with_is_chordal():
         else:
             assert witness is not None
             _assert_chordless_cycle(g, witness)
-
-
-def test_common_neighborhood():
-    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 4)])
-    assert common_neighborhood(g, 0, 2) == frozenset({1})
-    assert common_neighborhood(g, 0, 3) == frozenset({4})
-    assert common_neighborhood(g, 1, 4) == frozenset({0})
-    assert common_neighborhood(g, 2, 4) == frozenset({1, 3})
-
-
-def test_common_neighborhood_rejects_equal_vertices():
-    g = helpers.cycle_graph(4)
-    with pytest.raises(GraphInputError):
-        common_neighborhood(g, 2, 2)
-    with pytest.raises(GraphInputError):
-        common_neighborhood(g, 0, 9)
 
 
 def test_graph_equality_and_hash():

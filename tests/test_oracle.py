@@ -63,7 +63,7 @@ def test_solution_set_collect_records_duplicates():
     g = helpers.cycle_graph(4)
     a = Completion.from_edges(g, [(0, 2)])
     b = Completion.from_edges(g, [(1, 3)])
-    collected = SolutionSet.collect(g, [a, b, a], source="test")
+    collected = SolutionSet.collect([a, b, a], source="test")
     assert collected.solutions == frozenset({a, b})
     assert collected.duplicates == (a,)
     assert collected.source == "test"
@@ -72,8 +72,8 @@ def test_solution_set_collect_records_duplicates():
 def test_verify_solution_set_accepts_exact_match():
     g = helpers.cycle_graph(5)
     reference = brute_force_minimal_completions(g)
-    produced = SolutionSet.collect(g, sorted(reference.solutions,
-                                             key=lambda f: f.mask), "copy")
+    produced = SolutionSet.collect(sorted(reference.solutions,
+                                          key=lambda f: f.mask), "copy")
     report = verify_solution_set(produced, reference)
     assert report.ok
     assert str(report) == "verification ok"
@@ -85,11 +85,11 @@ def test_verify_solution_set_flags_missing_and_extra():
     only_one = Completion.from_edges(g, [(0, 2)])
     other = Completion.from_edges(g, [(1, 3)])
     report = verify_solution_set(
-        SolutionSet.collect(g, [only_one], "partial"), reference)
+        SolutionSet.collect([only_one], "partial"), reference)
     assert not report.ok
     assert report.missing == (other,)
     assert report.extra == ()
-    assert any(line.startswith("missing") for line in report.lines())
+    assert any(line.startswith("missing") for line in str(report).splitlines())
 
 
 def test_verify_solution_set_flags_non_minimal_members():
@@ -97,7 +97,7 @@ def test_verify_solution_set_flags_non_minimal_members():
     reference = brute_force_minimal_completions(g)
     full = Completion.full(g)
     report = verify_solution_set(
-        SolutionSet.collect(g, [full], "padded"), reference)
+        SolutionSet.collect([full], "padded"), reference)
     assert not report.ok
     assert report.not_minimal == (full,)
     assert full in report.extra
@@ -108,7 +108,7 @@ def test_verify_solution_set_flags_non_chordal_members():
     reference = brute_force_minimal_completions(g)
     hollow = Completion.empty(g)
     report = verify_solution_set(
-        SolutionSet.collect(g, [hollow], "broken"), reference)
+        SolutionSet.collect([hollow], "broken"), reference)
     assert not report.ok
     assert report.not_chordal == (hollow,)
 
@@ -119,6 +119,6 @@ def test_verify_solution_set_reports_duplicates():
     a = Completion.from_edges(g, [(0, 2)])
     b = Completion.from_edges(g, [(1, 3)])
     report = verify_solution_set(
-        SolutionSet.collect(g, [a, b, b], "noisy"), reference)
+        SolutionSet.collect([a, b, b], "noisy"), reference)
     assert not report.ok
     assert report.duplicates == (b,)

@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import doctest
+import io
+import pathlib
+import re
 
 import pytest
 
 import chordalenum
 import helpers
 from chordalenum import TraversalStats, minimal_chordal_completions
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+FENCE = re.compile(r"^```(\w*)\n(.*?)^```\n", re.MULTILINE | re.DOTALL)
+
+
+def _library_usage() -> str:
+    """The README's "Library usage" section, up to the next heading."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Library usage\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_module_doctests_pass():
@@ -20,6 +33,25 @@ def test_module_doctests_pass():
 def test_all_exports_resolve():
     for name in chordalenum.__all__:
         assert hasattr(chordalenum, name), name
+
+
+def test_readme_library_usage_names_exactly_the_exports():
+    # Inline code spans that are a name, or a name called with arguments,
+    # outside the fenced blocks.
+    prose = FENCE.sub("", _library_usage())
+    named = {m.group(1) for m in re.finditer(
+        r"`([A-Za-z_]\w*)(?:\([^`]*\))?`", prose)}
+    assert named == set(chordalenum.__all__)
+
+
+def test_readme_python_example_replays():
+    blocks = FENCE.findall(_library_usage())
+    (lang, code), (_, shown) = blocks[:2]
+    assert lang == "python"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, str(README), "exec"), {})
+    assert printed.getvalue() == shown
 
 
 def test_version_string():
