@@ -178,6 +178,16 @@ def is_chordal_completion(f: Completion) -> bool:
     return _is_chordal_masks(f.base.n, _filled_masks(f.base, f.mask))
 
 
+def _from_complete(base: Graph, candidates: int) -> Iterator[int]:
+    """``_deletions`` run from the complete graph K_n over ``candidates``:
+    the greedy reduction that defines the root and every removal trace."""
+    n = base.n
+    full = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    # K_n misses no edge, so the empty set covers them; each deletion then
+    # adds one endpoint.
+    return _deletions(base, full, candidates, 0)
+
+
 def _require_chordal(f: Completion, op: str) -> list[int]:
     """The filled adjacency of ``f``, built once and checked chordal (a
     fresh mutable list); ``op`` names the caller in the error."""
@@ -256,17 +266,14 @@ class RemovalTrace:
     __slots__ = ("_deletions", "_seq", "_stop")
 
     def __init__(self, f: Completion) -> None:
-        base = f.base
-        n = base.n
-        rest = (1 << len(non_edges(base))) - 1 & ~f.mask
-        full = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-        # K_n misses no edge, so the empty set covers them; each deletion
-        # then adds one endpoint.
-        self._deletions = _deletions(base, full, rest, 0)
+        rest = (1 << len(non_edges(f.base))) - 1 & ~f.mask
+        self._deletions = _from_complete(f.base, rest)
         self._seq: list[int] = []
         self._stop = rest.bit_count()
 
     def __getitem__(self, key: slice) -> "RemovalTrace":
+        if not isinstance(key, slice):
+            raise TypeError("a removal trace slices only as trace[:n]")
         start, stop, step = key.indices(self._stop)
         if start or step != 1:
             raise TypeError("a removal trace slices only as trace[:n]")
@@ -390,4 +397,7 @@ def successor(f: Completion, e: Edge) -> Completion:
 def minimal_completion_root(g: Graph) -> Completion:
     """The canonical starting solution: greedy reduction of the full
     completion.  Every enumeration of minimal completions is rooted here."""
-    return prune(Completion.full(g))
+    mask = (1 << len(non_edges(g))) - 1
+    for i in _from_complete(g, mask):
+        mask ^= 1 << i
+    return Completion(g, mask)

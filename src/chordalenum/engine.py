@@ -36,8 +36,9 @@ from .graph import Graph, non_edges
 
 
 class ProximitySearchError(RuntimeError):
-    """An internal invariant of the set system was violated; this indicates a
-    system that is not proximity searchable (or a bug), never bad input."""
+    """A canonical walk could not step: the set system is not proximity
+    searchable (or has a bug), or the walk's target is not a solution of the
+    system, such as a chordal completion that is not minimal."""
 
 
 @dataclass(frozen=True)
@@ -401,43 +402,31 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     flips exactly the ordering element right after the matched prefix.
 
     Successors start from a stored filled adjacency where one is at hand:
-    the system keeps, as tuples keyed by fill mask, the root's adjacency
-    (built on first use) and those of the two other masks used last.  A
-    scan flips one node's fill edges in turn, walks restart at the root,
-    and the kernel ends holding its result's adjacency, which is the next
-    probe of a walk.  Entries are never edited, so traversals interleaved
-    over one system get the same answers.
+    the system builds the root's adjacency at set-up and keeps, as tuples
+    keyed by fill mask, those of the two other masks used last.  A scan
+    flips one node's fill edges in turn, walks restart at the root, and the
+    kernel ends holding its result's adjacency, which is the next probe of a
+    walk.  Entries are never edited, so traversals interleaved over one
+    system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_adj: Optional[tuple[int, ...]] = None
+    root_adj = tuple(_filled_masks(g, root.mask))
     recent: dict[int, tuple[int, ...]] = {}  # least recently used first
 
-    def remember(mask: int, adj: tuple[int, ...]) -> None:
-        recent.pop(mask, None)
-        recent[mask] = adj
-        if len(recent) > 2:
-            del recent[next(iter(recent))]
-
     def successor_mask(mask: int, i: int) -> int:
-        nonlocal root_adj
         if mask == root.mask:
-            if root_adj is None:
-                root_adj = tuple(_filled_masks(g, mask))
-            masks = list(root_adj)
+            adj = root_adj
         else:
-            adj = recent.get(mask)
-            if adj is None:
-                masks = _filled_masks(g, mask)
-                adj = tuple(masks)
-            else:
-                masks = list(adj)
-            remember(mask, adj)
+            adj = recent.pop(mask, None) or tuple(_filled_masks(g, mask))
+            recent[mask] = adj
+        masks = list(adj)
         result = _successor_mask(g, mask, i, masks)
         if result != root.mask:
-            remember(result, tuple(masks))
-        elif root_adj is None:
-            root_adj = tuple(masks)
+            recent.pop(result, None)
+            recent[result] = tuple(masks)
+        while len(recent) > 2:
+            del recent[next(iter(recent))]
         return result
 
     def neighbor_count(f: Completion) -> int:
@@ -458,8 +447,10 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     def step_edge(f: Completion, order: RemovalTrace, i: int) -> int:
         idx = order.element(i)
         if idx is None:
+            # The target's ordering ran out before the walk reached it, as
+            # for a chordal completion that is not minimal.
             raise ProximitySearchError(
-                "next step requested between equal solutions")
+                "the walk's target is not a solution of this system")
         if not f.mask >> idx & 1:
             raise ProximitySearchError(
                 "canonical ordering element after the matched prefix is not "

@@ -434,16 +434,17 @@ def test_enumerate_into_closed_pipe_exits_zero():
     # C11 prints about 160 KB, more than the pipe and stdout buffers hold,
     # so the process is still writing when the reader goes away.
     text = "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "chordalenum.cli", "enumerate", "-",
-         "--mode", "visited_set"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdin.write(text.encode())
-    proc.stdin.close()
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "chordalenum.cli", "enumerate", "-",
+             "--mode", "visited_set"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as proc:
+        proc.stdin.write(text.encode())
+        proc.stdin.close()
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import chordalenum.completions
 import helpers
 from chordalenum import (Completion, Graph, GraphInputError, flip, is_chordal,
                          is_chordal_completion, is_minimal,
@@ -146,6 +147,40 @@ def test_minimal_completion_root_frozen_values(c4, c5):
     assert minimal_completion_root(c5).fill_edges == ((1, 4), (2, 4))
     tree = helpers.path_graph(6)
     assert minimal_completion_root(tree) == Completion.empty(tree)
+
+
+def test_minimal_completion_root_is_the_pruned_full_completion():
+    # The root reduces K_n directly; its definition, the greedy reduction of
+    # the full completion, stays the reference.  The corpus holds edgeless,
+    # complete and already chordal graphs as well as random ones.
+    rng = random.Random(46368)
+    corpus = [Graph(0), Graph(1)]
+    for n in range(2, 9):
+        corpus += [Graph(n), helpers.complete_graph(n), helpers.path_graph(n),
+                   helpers.cycle_graph(n)]
+    corpus += [helpers.random_chordal_graph(rng, rng.randint(2, 10))
+               for _ in range(100)]
+    corpus += [_random_base(rng, rng.randint(2, 10), 45) for _ in range(300)]
+    for g in corpus:
+        root = minimal_completion_root(g)
+        assert root == prune(Completion.full(g))
+        if is_chordal(g):
+            assert root == Completion.empty(g)
+
+
+def test_minimal_completion_root_builds_no_adjacency(monkeypatch):
+    # The root starts from K_n, whose adjacency is known without a build,
+    # and needs no chordality test: K_n is chordal and every deletion the
+    # kernel makes keeps it so.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+    monkeypatch.setattr(chordalenum.completions, "_filled_masks", counted)
+    monkeypatch.setattr(chordalenum.completions, "_is_chordal_masks", counted)
+    for g in (helpers.cycle_graph(7), Graph(30), helpers.complete_graph(6)):
+        minimal_completion_root(g)
+    assert calls == []
 
 
 def test_removal_order_frozen_values(c4, c5):

@@ -233,6 +233,19 @@ def test_next_toward_detects_unreachable_target():
         next_toward(system, system.root, frozenset({1}))
 
 
+def test_walk_toward_a_non_minimal_target_is_a_proximity_search_error():
+    # The full completion of C5 is chordal but not minimal, so it is no
+    # solution: its ordering is empty and no walk can reach it.
+    g, system = _c5_system()
+    target = Completion.full(g)
+    with pytest.raises(ProximitySearchError, match="not a solution"):
+        canonical_path(system, target)
+    with pytest.raises(ProximitySearchError, match="not a solution"):
+        parent(system, target)
+    with pytest.raises(ProximitySearchError, match="not a solution"):
+        next_toward(system, system.root, target)
+
+
 def test_subset_swap_system_enumerates_combinations():
     import itertools
     for m, k in [(5, 2), (6, 3)]:
@@ -350,7 +363,8 @@ def test_ordering_prefixes_are_bounded_tokens():
     # min(proximity, n) and which has no element at position n or later; a
     # removal trace's prefix shares the trace's elements and computes none
     # past its end.  A start s claims the first s elements matched, so it
-    # goes up to the prefix's own proximity.
+    # goes up to the prefix's own proximity.  A key that is no prefix, an
+    # int or a stepped slice, raises TypeError.
     rng = random.Random(28657)
     for _ in range(200):
         g = helpers.random_graph_at_most(rng, rng.randint(4, 8), 10)
@@ -364,6 +378,9 @@ def test_ordering_prefixes_are_bounded_tokens():
             assert proximity(f, edges) == full
             for n in range(len(elements) + 2):
                 trace = system.ordering(target)
+                for key in (n, slice(0, n, 2)):
+                    with pytest.raises(TypeError):
+                        trace[key]
                 view = trace[:n]
                 assert system.proximity(f, view, 0) == min(full, n)
                 assert len(trace._seq) <= n
@@ -501,22 +518,22 @@ def test_interleaved_reverse_searches_share_one_system():
 
 
 def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
-    # Set-up builds one (the root's prune, whose chordality check hands over
-    # the adjacency it checked); after that the stored adjacencies leave at
-    # most one build per solution, against one per successor call without
-    # them (393 successor calls on C7 with reverse search, 168 with the
-    # visited set).
+    # Set-up builds one, the root's adjacency (the root itself is reduced
+    # from K_n, which needs no build); after that the stored adjacencies
+    # leave at most one build per solution, against one per successor call
+    # without them (393 successor calls on C7 with reverse search, 168 with
+    # the visited set).
     built = _count_builds(monkeypatch, chordalenum.completions,
                           chordalenum.engine)
     cases = [
-        (helpers.cycle_graph(7), reverse_search, 42, 39),
-        (helpers.cycle_graph(7), visited_set_search, 42, 42),
-        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 8),
-        (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 20),
+        (helpers.cycle_graph(7), reverse_search, 42, 38),
+        (helpers.cycle_graph(7), visited_set_search, 42, 41),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 7),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 19),
     ]
     for g, search, solutions, builds in cases:
         built.clear()
         system = chordal_completion_system(g)
-        assert len(built) == 1
+        assert built == [system.root.mask]
         assert sum(1 for _ in search(system)) == solutions
         assert len(built) - 1 == builds <= solutions
