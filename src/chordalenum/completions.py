@@ -240,8 +240,9 @@ def prune(f: Completion,
 
 
 def is_minimal(f: Completion) -> bool:
-    """Whether ``f`` is a minimal chordal completion (chordal, and no fill
-    edge can be dropped without breaking chordality)."""
+    """Whether the chordal completion ``f`` is minimal (no fill edge can be
+    dropped without breaking chordality); raises ``ValueError`` when ``f``
+    is not chordal."""
     kernel = _deletions(f.base, _require_chordal(f, "is_minimal"), f.mask)
     return next(kernel, None) is None
 

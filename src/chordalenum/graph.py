@@ -166,61 +166,52 @@ def is_chordal(g: Graph) -> bool:
 def find_chordless_cycle(g: Graph) -> Optional[list[int]]:
     """Return an induced cycle of length >= 4 as a vertex list, or None.
 
-    Returns None iff the graph is chordal.  The witness is found by picking a
-    vertex v with two non-adjacent neighbors a, b and a shortest a-b path
-    avoiding the rest of N[v]; shortestness makes the cycle through v
-    chordless.  The witness is re-verified before being returned.
+    Returns None iff the graph is chordal.
     """
     if is_chordal(g):
         return None
-    for v in range(g.n):
-        nb = sorted(g.adj[v])
-        for ai in range(len(nb)):
-            for bi in range(ai + 1, len(nb)):
-                a, b = nb[ai], nb[bi]
-                if g.has_edge(a, b):
-                    continue
-                blocked = (g.adj[v] | {v}) - {a, b}
-                path = _shortest_path_avoiding(g, a, b, blocked)
-                if path is None:
-                    continue
-                cycle = [v] + path
-                if _is_chordless_cycle(g, cycle):
-                    return cycle
+    return _chordless_cycle_masks(g.n, g.adj_masks)
+
+
+def _chordless_cycle_masks(n: int, adj_masks) -> list[int]:
+    """A chordless cycle of a non-chordal bitmask adjacency, as a vertex list.
+
+    Picks a vertex v with two non-adjacent neighbors a < b and a shortest a-b
+    path whose interior avoids N[v].  The cycle v, a, ..., b is chordless: v
+    sees only a and b on it, and a chord of the path would shorten it.  Every
+    non-chordal graph has such a triple (take v on a chordless cycle).
+    """
+    for v in range(n):
+        nb = adj_masks[v]
+        # The interior may use any vertex outside N[v]; b ends the path.
+        outside = ~(nb | 1 << v)
+        for a in _iter_bits(nb):
+            for b in _iter_bits(nb & ~adj_masks[a] & ~((2 << a) - 1)):
+                path = _shortest_path_masks(adj_masks, a, b, outside | 1 << b)
+                if path is not None:
+                    return [v] + path
     raise AssertionError("non-chordal graph must contain a chordless cycle")
 
 
-def _shortest_path_avoiding(g: Graph, a: int, b: int,
-                            blocked: frozenset[int]) -> Optional[list[int]]:
-    """Shortest a-b path whose interior avoids ``blocked``, as a vertex list."""
-    prev = {a: -1}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in sorted(g.adj[u]):
-                if w in prev or (w in blocked and w != b):
-                    continue
-                prev[w] = u
-                if w == b:
-                    path = [b]
-                    while path[-1] != a:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(w)
-        frontier = nxt
-    return None
-
-
-def _is_chordless_cycle(g: Graph, cycle: list[int]) -> bool:
-    k = len(cycle)
-    if k < 4 or len(set(cycle)) != k:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(cycle[i], cycle[j])
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+def _shortest_path_masks(adj_masks, a: int, b: int,
+                         allowed: int) -> Optional[list[int]]:
+    """Shortest a-b path through the vertices of ``allowed``, as a vertex
+    list; None when there is none.  Breadth-first by layers, then back from
+    b through the lowest neighbor in each earlier layer."""
+    layers = [1 << a]
+    seen = 1 << a
+    while not seen >> b & 1:
+        frontier = 0
+        for u in _iter_bits(layers[-1]):
+            frontier |= adj_masks[u]
+        frontier &= allowed & ~seen
+        if not frontier:
+            return None
+        layers.append(frontier)
+        seen |= frontier
+    path = [b]
+    for layer in reversed(layers[:-1]):
+        back = layer & adj_masks[path[-1]]
+        path.append((back & -back).bit_length() - 1)
+    path.reverse()
+    return path

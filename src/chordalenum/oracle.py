@@ -1,10 +1,14 @@
 """Brute-force reference enumeration and solution-set verification.
 
 The oracle sweeps subsets of the non-edges in increasing cardinality,
-keeping the chordal ones whose proper subsets were all rejected.  It exists
-to check the clever enumeration, so it shares as little machinery with it as
-possible: no flips, no canonical orderings, just subset generation, superset
-pruning, and the chordality test.
+keeping the chordal ones whose proper subsets were all rejected.  Each
+subset the chordality test rejects leaves a certificate: a chordless cycle
+of the filled graph.  A later subset that fills the same cycle sides and
+none of the cycle's other pairs leaves that cycle chordless, so it is
+rejected without a test.  The oracle exists to check the clever
+enumeration, so it shares as little machinery with it as possible: no
+flips, no canonical orderings, just subset generation, superset pruning,
+chordless-cycle certificates, and the chordality test.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .completions import Completion, is_chordal_completion, is_minimal
-from .graph import Graph, non_edges
+from .completions import (Completion, _filled_masks, is_chordal_completion,
+                          is_minimal)
+from .graph import (Graph, _chordless_cycle_masks, find_chordless_cycle,
+                    ground_index, non_edges)
 
 DEFAULT_GROUND_LIMIT = 20
 
@@ -54,10 +60,20 @@ def brute_force_minimal_completions(g: Graph,
     """Every minimal chordal completion of ``g``, by exhaustive subset sweep.
 
     Subsets of the non-edges are visited in increasing cardinality; a subset
-    is skipped when it contains an already-accepted completion, accepted when
-    chordal, and rejected otherwise.  The sweep stops after the first level
-    where every subset was skipped or accepted, since any larger minimal
-    completion would contain an unskipped, unaccepted subset at that level.
+    is skipped when it contains an already-accepted completion, rejected when
+    a certificate covers it, otherwise accepted when chordal and rejected
+    when not.  The sweep stops after the first level where every subset was
+    skipped or accepted, since any larger minimal completion would contain
+    an unskipped, unaccepted subset at that level.
+
+    Each chordality rejection of a subset S records a certificate from a
+    chordless cycle Z of G+S: the set E of Z's consecutive pairs that are
+    non-edges of G (so in S), and the set K of its non-consecutive pairs
+    (all non-edges of G, since Z is chordless in G+S).  A subset T that
+    contains E and misses K keeps every edge of Z and adds no chord, so Z is
+    a chordless cycle of G+T and T is rejected without a chordality test.
+    A certificate rejection counts as a rejection for the stopping rule, so
+    the family is the one the plain sweep returns.
 
     Refuses ground sets larger than ``limit`` (the sweep is exponential).
     """
@@ -67,25 +83,53 @@ def brute_force_minimal_completions(g: Graph,
         raise ValueError(
             f"brute-force sweep over {m} non-edges exceeds the limit of "
             f"{limit}; raise the limit explicitly to force it")
+    bits = [1 << i for i in range(m)]
     accepted_masks: list[int] = []
+    # (E | K, E) per certificate: T contains E and misses K exactly when
+    # T & (E | K) == E.
+    certificates: list[tuple[int, int]] = []
     out: list[Completion] = []
     for size in range(m + 1):
         level_exhausted = True
-        for combo in combinations(range(m), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if any(s & mask == s for s in accepted_masks):
-                continue
-            f = Completion(g, mask)
-            if is_chordal_completion(f):
-                accepted_masks.append(mask)
-                out.append(f)
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            # Plain loops, not any() over generators: this runs for every
+            # subset, and a generator per test costs more than the test.
+            for s in accepted_masks:
+                if s & mask == s:
+                    break
             else:
+                for pairs, filled in certificates:
+                    if mask & pairs == filled:
+                        break
+                else:
+                    f = Completion(g, mask)
+                    if is_chordal_completion(f):
+                        accepted_masks.append(mask)
+                        out.append(f)
+                        continue
+                    certificates.append(_certificate(g, mask))
+                # Rejected, by a certificate or by the test.
                 level_exhausted = False
         if level_exhausted:
             break
     return SolutionSet.collect(out, source="brute-force")
+
+
+def _certificate(g: Graph, mask: int) -> tuple[int, int]:
+    """The certificate of a non-chordal fill ``mask`` as (E | K, E).
+
+    Every pair of a chordless cycle Z of G+S that is a non-edge of G is
+    either one of Z's edges, so filled by S, or one of its non-consecutive
+    pairs, so outside S: E and K are those pairs inside and outside ``mask``.
+    """
+    cycle = _chordless_cycle_masks(g.n, _filled_masks(g, mask))
+    pairs = 0
+    for u, v in combinations(cycle, 2):
+        i = ground_index(g, u, v)
+        if i is not None:
+            pairs |= 1 << i
+    return pairs, pairs & mask
 
 
 @dataclass(frozen=True)
@@ -110,14 +154,19 @@ class VerificationReport:
     def __str__(self) -> str:
         if self.ok:
             return "verification ok"
-        return "\n".join(
-            f"{label}: {f!r}"
-            for label, group in (("missing", self.missing),
-                                 ("extra", self.extra),
-                                 ("not chordal", self.not_chordal),
-                                 ("not minimal", self.not_minimal),
-                                 ("duplicate", self.duplicates))
-            for f in group)
+        lines = []
+        for label, group in (("missing", self.missing),
+                             ("extra", self.extra),
+                             ("not chordal", self.not_chordal),
+                             ("not minimal", self.not_minimal),
+                             ("duplicate", self.duplicates)):
+            for f in group:
+                line = f"{label}: {f!r}"
+                if label == "not chordal":
+                    cycle = find_chordless_cycle(f.supergraph())
+                    line += f", chordless cycle {'-'.join(map(str, cycle))}"
+                lines.append(line)
+        return "\n".join(lines)
 
 
 def verify_solution_set(produced: SolutionSet,
@@ -126,15 +175,20 @@ def verify_solution_set(produced: SolutionSet,
 
     Every produced member is additionally re-validated: it must be chordal
     and pass the removability check (no fill edge individually droppable).
+    One chordality test per member decides both: ``is_minimal`` raises
+    ``ValueError`` on a member that is not chordal.
     """
+    key = lambda f: f.mask
     not_chordal = []
     not_minimal = []
-    for f in sorted(produced.solutions, key=lambda f: f.mask):
-        if not is_chordal_completion(f):
+    for f in sorted(produced.solutions, key=key):
+        try:
+            minimal = is_minimal(f)
+        except ValueError:
             not_chordal.append(f)
-        elif not is_minimal(f):
+            continue
+        if not minimal:
             not_minimal.append(f)
-    key = lambda f: f.mask
     return VerificationReport(
         missing=tuple(sorted(reference.solutions - produced.solutions, key=key)),
         extra=tuple(sorted(produced.solutions - reference.solutions, key=key)),

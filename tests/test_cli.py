@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import importlib
 import io
 import json
 import pathlib
@@ -24,6 +25,7 @@ C4_EDGE_LIST = "0 1\n1 2\n2 3\n3 0\n"
 C5_EDGE_LIST = "0 1\n1 2\n2 3\n3 4\n4 0\n"
 C5_DIMACS = "c five cycle\np edge 5 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n"
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 # A README transcript: "$ printf '<input>' | chordalenum <command> -", then
 # the output lines shown, up to a blank line, a fence or the next prompt.
 TRANSCRIPT = re.compile(r"^\$ printf '([^']*)' \| chordalenum (\w+) -\n"
@@ -450,9 +452,19 @@ def test_enumerate_into_closed_pipe_exits_zero():
 
 def test_console_script_smoke():
     script = shutil.which("chordalenum")
-    if script is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([script, "enumerate", "-"], input=C4_EDGE_LIST,
+    if script is not None:
+        command = [script]
+    else:
+        # Not installed: run the entry point pyproject.toml declares for it.
+        declared = re.search(r'^\[project\.scripts\]\nchordalenum = "(.+)"$',
+                             PYPROJECT.read_text(encoding="utf-8"), re.M)
+        assert declared is not None
+        module, attr = declared.group(1).split(":")
+        assert getattr(importlib.import_module(module), attr) is main
+        command = [sys.executable, "-c",
+                   f"import sys; from {module} import {attr}; "
+                   f"sys.exit({attr}())"]
+    proc = subprocess.run(command + ["enumerate", "-"], input=C4_EDGE_LIST,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "1-3\n0-2\n"

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
 
+import chordalenum.completions
+import chordalenum.oracle as oracle
 import helpers
-from chordalenum import (Completion, SolutionSet,
-                         brute_force_minimal_completions, non_edges,
-                         verify_solution_set)
+from chordalenum import (Completion, Graph, SolutionSet,
+                         brute_force_minimal_completions,
+                         chordal_completion_system, is_chordal,
+                         is_chordal_completion, non_edges, reverse_search,
+                         verify_solution_set, visited_set_search)
 
 
 def test_brute_force_on_four_cycle_frozen():
@@ -111,6 +117,20 @@ def test_verify_solution_set_flags_non_chordal_members():
         SolutionSet.collect([hollow], "broken"), reference)
     assert not report.ok
     assert report.not_chordal == (hollow,)
+    # Its report line names a chordless cycle of the filled graph.
+    line, = (line for line in str(report).splitlines()
+             if line.startswith("not chordal"))
+    assert line == "not chordal: Completion({}), chordless cycle 0-1-2-3-4"
+
+
+def test_verify_report_cycle_runs_through_fill_edges():
+    g = helpers.cycle_graph(6)
+    broken = Completion.from_edges(g, [(0, 2)])
+    report = verify_solution_set(SolutionSet.collect([broken], "broken"),
+                                 brute_force_minimal_completions(g))
+    line, = (line for line in str(report).splitlines()
+             if line.startswith("not chordal"))
+    assert line == "not chordal: Completion({0-2}), chordless cycle 0-2-3-4-5"
 
 
 def test_verify_solution_set_reports_duplicates():
@@ -122,3 +142,126 @@ def test_verify_solution_set_reports_duplicates():
         SolutionSet.collect([a, b, b], "noisy"), reference)
     assert not report.ok
     assert report.duplicates == (b,)
+
+
+def test_verify_solution_set_builds_one_adjacency_per_member(monkeypatch):
+    # One filled adjacency per member decides both chordality and
+    # minimality: a non-chordal, a chordal non-minimal and a minimal member.
+    built = []
+    build = chordalenum.completions._filled_masks
+
+    def counted(base, mask):
+        built.append(mask)
+        return build(base, mask)
+    monkeypatch.setattr(chordalenum.completions, "_filled_masks", counted)
+    g = helpers.cycle_graph(5)
+    hollow = Completion.empty(g)
+    full = Completion.full(g)
+    minimal = Completion.from_edges(g, [(1, 4), (2, 4)])
+    produced = SolutionSet.collect([hollow, full, minimal], "mixed")
+    report = verify_solution_set(produced, SolutionSet.collect([], "none"))
+    assert report.not_chordal == (hollow,)
+    assert report.not_minimal == (full,)
+    assert sorted(built) == sorted(f.mask for f in (hollow, full, minimal))
+
+
+def _plain_level_sweep(g: Graph) -> frozenset:
+    """The oracle's sweep without certificates: every unskipped subset gets
+    a chordality test."""
+    m = len(non_edges(g))
+    accepted_masks: list[int] = []
+    out = []
+    for size in range(m + 1):
+        level_exhausted = True
+        for combo in combinations(range(m), size):
+            mask = sum(1 << i for i in combo)
+            if any(s & mask == s for s in accepted_masks):
+                continue
+            f = Completion(g, mask)
+            if is_chordal_completion(f):
+                accepted_masks.append(mask)
+                out.append(f)
+            else:
+                level_exhausted = False
+        if level_exhausted:
+            break
+    return frozenset(out)
+
+
+def test_pruned_sweep_matches_plain_sweep_and_subset_sweep():
+    rng = random.Random(196418)
+    graphs = helpers.atlas_graphs(6, min_n=0)
+    graphs += [helpers.random_graph_at_most(rng, rng.randint(5, 8), 12)
+               for _ in range(30)]
+    chordal = [helpers.random_chordal_graph(rng, rng.randint(3, 7))
+               for _ in range(10)]
+    chordal += [Graph(n) for n in range(7)]
+    chordal += [helpers.complete_graph(n) for n in range(8)]
+    for g in graphs + chordal:
+        got = brute_force_minimal_completions(g, limit=21).solutions
+        assert got == _plain_level_sweep(g), g.edges
+        if len(non_edges(g)) <= 6:
+            assert ({frozenset(f.fill_edges) for f in got}
+                    == helpers.minimal_sets_by_subset_sweep(g)), g.edges
+        if g in chordal:
+            # Chordal inputs (m = 0 among them) keep only the empty fill.
+            assert got == frozenset({Completion.empty(g)})
+
+
+def test_certificate_rejects_every_subset_it_covers():
+    # A rejected S gives (E | K, E) from a chordless cycle of G+S.  Every T
+    # that contains E and misses K must be non-chordal, by networkx too.
+    rng = random.Random(514229)
+    certified = 0
+    while certified < 60:
+        g = helpers.random_graph_at_most(rng, rng.randint(4, 8), 12)
+        m = len(non_edges(g))
+        s = rng.getrandbits(m)
+        if is_chordal_completion(Completion(g, s)):
+            continue
+        pairs, e = oracle._certificate(g, s)
+        k = pairs & ~e
+        assert e & ~s == 0 and k & s == 0
+        free = ((1 << m) - 1) & ~pairs
+        for _ in range(15):
+            t = e | rng.getrandbits(m) & free
+            f = Completion(g, t)
+            assert not is_chordal_completion(f)
+            assert not nx.is_chordal(helpers.to_networkx(f.supergraph()))
+        certified += 1
+
+
+def test_oracle_chordality_test_counts_are_frozen(monkeypatch):
+    # Certificates leave few subsets to test (the plain sweep tests these
+    # graphs 211, 514, 997 and 514 times).  A change to the sweep or to the
+    # chordless-cycle witness that moves the counts on purpose updates them.
+    calls = []
+    test = oracle.is_chordal_completion
+
+    def counted(f):
+        calls.append(f.mask)
+        return test(f)
+    monkeypatch.setattr(oracle, "is_chordal_completion", counted)
+    rng = random.Random(317811)
+    cases = [helpers.cycle_graph(6)]
+    while len(cases) < 4:
+        g = helpers.random_graph(rng, 7, 11)
+        if not is_chordal(g):
+            cases.append(g)
+    counts = []
+    for g in cases:
+        calls.clear()
+        brute_force_minimal_completions(g)
+        counts.append(len(calls))
+    assert counts == [36, 3, 12, 3]
+
+
+def test_modes_and_oracle_agree_on_larger_random_graphs():
+    # Beyond the acceptance corpus: 9-10 vertices, 15-18 non-edges.
+    rng = random.Random(832040)
+    for _ in range(8):
+        g = helpers.random_graph(rng, rng.randint(9, 10), rng.randint(15, 18))
+        system = chordal_completion_system(g)
+        expected = brute_force_minimal_completions(g).solutions
+        assert set(reverse_search(system)) == expected, g.edges
+        assert set(visited_set_search(system)) == expected, g.edges
