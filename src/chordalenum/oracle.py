@@ -1,26 +1,29 @@
 """Brute-force reference enumeration and solution-set verification.
 
-The oracle sweeps subsets of the non-edges in increasing cardinality,
-keeping the chordal ones whose proper subsets were all rejected.  Each
-subset the chordality test rejects leaves a certificate: a chordless cycle
-of the filled graph.  A later subset that fills the same cycle sides and
-none of the cycle's other pairs leaves that cycle chordless, so it is
-rejected without a test.  The oracle exists to check the clever
-enumeration, so it shares as little machinery with it as possible: no
-flips, no canonical orderings, just subset generation, superset pruning,
-chordless-cycle certificates, and the chordality test.
+The oracle searches fill sets breadth first: it starts from the empty fill
+and grows fill sets one chord at a time.  A fill set that fails the
+chordality test leaves a certificate, a chordless cycle of the filled
+graph.  A later fill set that fills the same cycle sides and none of the
+cycle's other pairs leaves that cycle chordless, so it is rejected without
+a test.  Every chordal superset of a rejected fill set fills one of the
+cycle's chords, so those chords are the only steps out of it.  The oracle
+exists to check the clever enumeration, so it shares as little machinery
+with it as possible: no flips, no canonical orderings, just one-chord
+growth, superset pruning, chordless-cycle certificates, and the chordality
+test.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .completions import (Completion, _filled_masks, is_chordal_completion,
                           is_minimal)
-from .graph import (Graph, _chordless_cycle_masks, find_chordless_cycle,
-                    ground_index, non_edges)
+from .graph import (Graph, _chordless_cycle_masks, _iter_bits,
+                    find_chordless_cycle, ground_index, non_edges)
 
 DEFAULT_GROUND_LIMIT = 20
 
@@ -57,63 +60,68 @@ class SolutionSet:
 def brute_force_minimal_completions(g: Graph,
                                     limit: int = DEFAULT_GROUND_LIMIT
                                     ) -> SolutionSet:
-    """Every minimal chordal completion of ``g``, by exhaustive subset sweep.
+    """Every minimal chordal completion of ``g``, by breadth-first search
+    over fill sets.
 
-    Subsets of the non-edges are visited in increasing cardinality; a subset
-    is skipped when it contains an already-accepted completion, rejected when
-    a certificate covers it, otherwise accepted when chordal and rejected
-    when not.  The sweep stops after the first level where every subset was
-    skipped or accepted, since any larger minimal completion would contain
-    an unskipped, unaccepted subset at that level.
+    Fill sets leave a first-in, first-out queue, so their sizes never
+    decrease; the queue starts with the empty fill.  A fill set S is dropped
+    when it contains an already-accepted completion, rejected when a
+    certificate covers it, otherwise accepted when chordal and rejected
+    when not.  A rejected S enqueues S + k for each chord k of its
+    certificate's cycle that makes a fill set not seen before.
 
-    Each chordality rejection of a subset S records a certificate from a
+    Each chordality rejection of a fill set S records a certificate from a
     chordless cycle Z of G+S: the set E of Z's consecutive pairs that are
     non-edges of G (so in S), and the set K of its non-consecutive pairs
-    (all non-edges of G, since Z is chordless in G+S).  A subset T that
+    (all non-edges of G, since Z is chordless in G+S).  A fill set T that
     contains E and misses K keeps every edge of Z and adds no chord, so Z is
     a chordless cycle of G+T and T is rejected without a chordality test.
-    A certificate rejection counts as a rejection for the stopping rule, so
-    the family is the one the plain sweep returns.
 
-    Refuses ground sets larger than ``limit`` (the sweep is exponential).
+    A chordal T that contains a rejected S must fill a chord in K, so every
+    minimal completion M is reached by one-chord steps through fill sets
+    inside M, none of them chordal or dropped.  Every chordal proper subset
+    of a fill set contains a smaller minimal completion, accepted first, so
+    each accepted fill set is already inclusion-minimal.
+
+    Refuses ground sets larger than ``limit``: the number of fill sets
+    visited, like the number of minimal completions, can grow exponentially
+    with the number of non-edges.
     """
-    ne = non_edges(g)
-    m = len(ne)
+    m = len(non_edges(g))
     if m > limit:
         raise ValueError(
             f"brute-force sweep over {m} non-edges exceeds the limit of "
             f"{limit}; raise the limit explicitly to force it")
-    bits = [1 << i for i in range(m)]
     accepted_masks: list[int] = []
     # (E | K, E) per certificate: T contains E and misses K exactly when
     # T & (E | K) == E.
     certificates: list[tuple[int, int]] = []
-    out: list[Completion] = []
-    for size in range(m + 1):
-        level_exhausted = True
-        for combo in combinations(bits, size):
-            mask = sum(combo)
-            # Plain loops, not any() over generators: this runs for every
-            # subset, and a generator per test costs more than the test.
-            for s in accepted_masks:
-                if s & mask == s:
+    queue, seen = deque([0]), {0}
+    while queue:
+        mask = queue.popleft()
+        # Plain loops, not any() over generators: a generator per test
+        # costs more than the test.
+        for s in accepted_masks:
+            if s & mask == s:
+                break
+        else:
+            for pairs, filled in certificates:
+                if mask & pairs == filled:
                     break
             else:
-                for pairs, filled in certificates:
-                    if mask & pairs == filled:
-                        break
-                else:
-                    f = Completion(g, mask)
-                    if is_chordal_completion(f):
-                        accepted_masks.append(mask)
-                        out.append(f)
-                        continue
-                    certificates.append(_certificate(g, mask))
-                # Rejected, by a certificate or by the test.
-                level_exhausted = False
-        if level_exhausted:
-            break
-    return SolutionSet.collect(out, source="brute-force")
+                if is_chordal_completion(Completion(g, mask)):
+                    accepted_masks.append(mask)
+                    continue
+                pairs, filled = _certificate(g, mask)
+                certificates.append((pairs, filled))
+            # Rejected, by a certificate or by the test: step to each chord.
+            for i in _iter_bits(pairs & ~filled):
+                child = mask | 1 << i
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+    return SolutionSet.collect((Completion(g, s) for s in accepted_masks),
+                               source="brute-force")
 
 
 def _certificate(g: Graph, mask: int) -> tuple[int, int]:

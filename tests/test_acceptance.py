@@ -101,8 +101,8 @@ def test_criterion_1_exhaustive_agreement_on_small_and_random_graphs():
 
 
 def test_criterion_2_known_cycle_counts_are_exact():
-    # Frozen counts 2, 5, 14 were obtained from the brute-force sweep; the
-    # sweep is recomputed here and both traversals must match it exactly.
+    # Frozen counts 2, 5, 14 were obtained from the brute-force oracle; the
+    # oracle is rerun here and both traversals must match it exactly.
     expected = {4: 2, 5: 5, 6: 14}
     for n, count in expected.items():
         g = helpers.cycle_graph(n)

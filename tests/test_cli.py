@@ -239,6 +239,17 @@ def test_verify_skips_oracle_above_limit():
     assert "modes agree: yes" in out
 
 
+def test_verify_runs_the_oracle_on_a_nine_cycle(tmp_path, capsys):
+    # 27 non-edges: 2^27 fill sets for a subset sweep, a few thousand for
+    # the oracle's one-chord search.
+    path = tmp_path / "nine.txt"
+    path.write_text("".join(f"{v} {(v + 1) % 9}\n" for v in range(9)))
+    assert main(["verify", str(path), "--oracle-limit", "27"]) == 0
+    out = capsys.readouterr().out
+    assert "oracle solutions: 429" in out
+    assert "verification ok" in out
+
+
 def test_negative_oracle_limit_exits_two(tmp_path, capsys):
     path = tmp_path / "five.txt"
     path.write_text(C5_EDGE_LIST)

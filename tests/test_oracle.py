@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations
 
 import networkx as nx
@@ -38,6 +39,12 @@ def test_brute_force_on_chordal_graph_is_empty_completion():
 def test_brute_force_catalan_counts():
     assert len(brute_force_minimal_completions(helpers.cycle_graph(5))) == 5
     assert len(brute_force_minimal_completions(helpers.cycle_graph(6))) == 14
+    # C9's 27 non-edges are 2^27 subsets, past any subset sweep; one-chord
+    # steps reach its Catalan(7) = 429 completions in a few thousand.
+    g = helpers.cycle_graph(9)
+    family = brute_force_minimal_completions(g, limit=27).solutions
+    assert len(family) == 429
+    assert family == set(visited_set_search(chordal_completion_system(g)))
 
 
 def test_brute_force_matches_independent_subset_sweep():
@@ -232,16 +239,25 @@ def test_certificate_rejects_every_subset_it_covers():
 
 
 def test_oracle_chordality_test_counts_are_frozen(monkeypatch):
-    # Certificates leave few subsets to test (the plain sweep tests these
-    # graphs 211, 514, 997 and 514 times).  A change to the sweep or to the
-    # chordless-cycle witness that moves the counts on purpose updates them.
+    # Certificates leave few fill sets to test (the plain sweep tests these
+    # graphs 211, 514, 997 and 514 times), and one-chord steps few to visit
+    # (the level sweep visited 466, 2,047, 2,047 and 2,047).  A change to
+    # the search or to the chordless-cycle witness that moves the counts on
+    # purpose updates them.
     calls = []
+    visits = []
     test = oracle.is_chordal_completion
 
     def counted(f):
         calls.append(f.mask)
         return test(f)
+
+    class CountedQueue(deque):
+        def popleft(self):
+            visits.append(None)
+            return super().popleft()
     monkeypatch.setattr(oracle, "is_chordal_completion", counted)
+    monkeypatch.setattr(oracle, "deque", CountedQueue)
     rng = random.Random(317811)
     cases = [helpers.cycle_graph(6)]
     while len(cases) < 4:
@@ -251,9 +267,24 @@ def test_oracle_chordality_test_counts_are_frozen(monkeypatch):
     counts = []
     for g in cases:
         calls.clear()
+        visits.clear()
         brute_force_minimal_completions(g)
-        counts.append(len(calls))
-    assert counts == [36, 3, 12, 3]
+        counts.append((len(calls), len(visits)))
+    assert counts == [(36, 45), (3, 3), (12, 15), (3, 3)]
+
+
+def test_oracle_family_is_chordal_antichain_equal_to_reverse_search():
+    rng = random.Random(121393)
+    for _ in range(300):
+        g = helpers.random_graph_at_most(rng, rng.randint(1, 8), 14)
+        family = brute_force_minimal_completions(g).solutions
+        masks = [f.mask for f in family]
+        assert all(nx.is_chordal(helpers.to_networkx(f.supergraph()))
+                   for f in family), g.edges
+        assert not any(a != b and a & b == a for a in masks for b in masks), \
+            g.edges
+        assert family == set(reverse_search(chordal_completion_system(g))), \
+            g.edges
 
 
 def test_modes_and_oracle_agree_on_larger_random_graphs():
