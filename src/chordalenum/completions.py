@@ -330,7 +330,8 @@ def removal_order(f: Completion) -> tuple[Edge, ...]:
     restricted to the complement of ``f``, deletes them; it is the canonical
     form the enumeration engine keys its parent relation on.
     """
-    if not is_minimal(f):
+    kernel = _deletions(f.base, _require_chordal(f, "removal_order"), f.mask)
+    if next(kernel, None) is not None:
         raise ValueError("removal_order requires a minimal chordal completion")
     ne = non_edges(f.base)
     return tuple(ne[i] for i in RemovalTrace(f).force())
@@ -392,7 +393,7 @@ def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
     back to a minimal one."""
     return Completion(f.base, _successor_mask(
-        f.base, f.mask, _fill_index(f, e), _filled_masks(f.base, f.mask)))
+        f.base, f.mask, _fill_index(f, e), _require_chordal(f, "successor")))
 
 
 def minimal_completion_root(g: Graph) -> Completion:

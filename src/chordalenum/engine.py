@@ -57,10 +57,10 @@ class SetSystem:
     of ``f`` toward a target whose ordering is ``order`` and returns the
     neighbor position the canonical step takes; the child test compares that
     position with the scan position before it computes any solution.
-    ``next_step(f, target, order, i)`` is the step itself computed directly,
-    and must equal ``neighbor_at(f, step_position(f, order, i))``; a system
-    giving ``next_step`` must give ``step_position`` too.  With
-    ``step_position`` alone the step is ``neighbor_at`` at that position; with
+    ``next_step(f, target, order, i)`` is the step itself, and must equal
+    ``neighbor_at(f, step_position(f, order, i))``; a system giving
+    ``next_step`` must give ``step_position`` too.  With ``step_position``
+    alone the step is ``neighbor_at`` at that position; with
     neither, a generic fallback picks the first position of the
     ``solution_key``-smallest neighbor strictly closer to the target (it
     evaluates every neighbor per step, which the specialized steps avoid).
@@ -138,18 +138,17 @@ class TraversalStats:
 
 def _step_position(system: SetSystem, f: Any, order: Sequence,
                    i: int) -> int:
+    """The neighbor position of the canonical step out of ``f``, whose
+    proximity toward the target ordered by ``order`` is ``i``: the system's
+    own ``step_position`` when it has one, else the first position of the
+    ``solution_key``-smallest neighbor strictly closer to the target."""
     if system.step_position is not None:
         return system.step_position(f, order, i)
-    return _generic_position(system, f, order, i)
-
-
-def _generic_position(system: SetSystem, f: Any, target_order: Sequence,
-                      i: int) -> int:
     best = None
     best_key = None
     for j in range(system.neighbor_count(f)):
         nb = system.neighbor_at(f, j)
-        if system.proximity(nb, target_order, 0) > i:
+        if system.proximity(nb, order, 0) > i:
             key = system.solution_key(nb)
             if best is None or key < best_key:
                 best, best_key = j, key
@@ -214,7 +213,7 @@ def _parent_step(system: SetSystem, f: Any, order: Sequence,
     from a walk that holds one probe at a time."""
     (up, i, _), (_, _, k) = deque(
         _path(system, system.root, f, order, stats), maxlen=2)
-    return up, system.step_position(up, order, i) if k is None else k
+    return up, _step_position(system, up, order, i) if k is None else k
 
 
 def parent(system: SetSystem, f: Any) -> Any:
@@ -398,8 +397,9 @@ def chordal_completion_system(g: Graph) -> SetSystem:
 
     Solutions are minimal chordal completions; neighbor position j flips the
     (j+1)-th fill edge and reduces.  The ordering of a solution is the
-    canonical removal trace of its complement, and the specialized next step
-    flips exactly the ordering element right after the matched prefix.
+    canonical removal trace of its complement.  The step position is the
+    rank, among the fill edges, of the ordering element right after the
+    matched prefix, and the next step is ``neighbor_at`` at that position.
 
     Successors start from a stored filled adjacency where one is at hand:
     the system builds the root's adjacency at set-up and keeps, as tuples
@@ -444,7 +444,7 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     def solution_key(f: Completion) -> tuple[int, ...]:
         return tuple(i for i in range(ground) if not f.mask >> i & 1)
 
-    def step_edge(f: Completion, order: RemovalTrace, i: int) -> int:
+    def step_position(f: Completion, order: RemovalTrace, i: int) -> int:
         idx = order.element(i)
         if idx is None:
             # The target's ordering ran out before the walk reached it, as
@@ -455,15 +455,12 @@ def chordal_completion_system(g: Graph) -> SetSystem:
             raise ProximitySearchError(
                 "canonical ordering element after the matched prefix is not "
                 "a fill edge; proximity searchability violated")
-        return idx
-
-    def step_position(f: Completion, order: RemovalTrace, i: int) -> int:
         # Position j flips the (j+1)-th fill edge: the rank of the edge.
-        return (f.mask & ((1 << step_edge(f, order, i)) - 1)).bit_count()
+        return (f.mask & ((1 << idx) - 1)).bit_count()
 
     def next_step(f: Completion, target: Completion, order: RemovalTrace,
                   i: int) -> Completion:
-        return Completion(g, successor_mask(f.mask, step_edge(f, order, i)))
+        return neighbor_at(f, step_position(f, order, i))
 
     def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
         # A flip by edge e never re-adds e, so a candidate containing the

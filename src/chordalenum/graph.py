@@ -1,9 +1,9 @@
 """Simple undirected graphs with a fixed vertex numbering.
 
-Vertices are the integers ``0..n-1``.  Adjacency is kept both as per-vertex
-frozensets (convenient for callers) and as per-vertex integer bitmasks, which
-is the representation the chordality test and the completion machinery
-operate on.
+Vertices are the integers ``0..n-1``.  Adjacency is kept once, as
+per-vertex integer bitmasks (``adj_masks``): bit u of row v is set when u-v
+is an edge.  The chordality test and the completion machinery operate on
+these rows directly.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class Graph:
     indices) is computed lazily and cached on the instance.
     """
 
-    __slots__ = ("n", "edges", "adj", "adj_masks", "_non_edges", "_ne_index",
+    __slots__ = ("n", "edges", "adj_masks", "_non_edges", "_ne_index",
                  "_ne_incident")
 
     def __init__(self, n: int, edge_list: Iterable[Edge] = ()) -> None:
@@ -56,15 +56,14 @@ class Graph:
             masks[v] |= 1 << u
         self.n = n
         self.adj_masks = tuple(masks)
-        self.adj = tuple(frozenset(_iter_bits(m)) for m in masks)
         self.edges = frozenset(
-            (u, v) for u in range(n) for v in self.adj[u] if u < v)
+            (u, v) for u in range(n) for v in _iter_bits(masks[u]) if u < v)
         self._non_edges: Optional[tuple[Edge, ...]] = None
         self._ne_index: Optional[dict[Edge, int]] = None
         self._ne_incident: Optional[tuple[int, ...]] = None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u] if 0 <= u < self.n else False
+        return 0 <= u < self.n and 0 <= v and self.adj_masks[u] >> v & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -88,7 +87,7 @@ def non_edges(g: Graph) -> tuple[Edge, ...]:
         try:
             g._non_edges = tuple(
                 (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                if v not in g.adj[u])
+                if not g.adj_masks[u] >> v & 1)
         except MemoryError:
             raise GraphInputError(
                 f"{g.n} vertices with {len(g.edges)} edges leave too many "

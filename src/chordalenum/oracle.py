@@ -22,8 +22,8 @@ from typing import Iterable
 
 from .completions import (Completion, _filled_masks, is_chordal_completion,
                           is_minimal)
-from .graph import (Graph, _chordless_cycle_masks, _iter_bits,
-                    find_chordless_cycle, ground_index, non_edges)
+from .graph import (Graph, _chordless_cycle_masks, _iter_bits, ground_index,
+                    non_edges)
 
 DEFAULT_GROUND_LIMIT = 20
 
@@ -171,7 +171,8 @@ class VerificationReport:
             for f in group:
                 line = f"{label}: {f!r}"
                 if label == "not chordal":
-                    cycle = find_chordless_cycle(f.supergraph())
+                    cycle = _chordless_cycle_masks(
+                        f.base.n, _filled_masks(f.base, f.mask))
                     line += f", chordless cycle {'-'.join(map(str, cycle))}"
                 lines.append(line)
         return "\n".join(lines)

@@ -55,9 +55,8 @@ def chordal_by_cycle_search(g: Graph) -> bool:
     induces a cycle of length at least four.  Exponential; keep n small."""
     for size in range(4, g.n + 1):
         for sub in combinations(range(g.n), size):
-            inside = set(sub)
-            degrees = [len(g.adj[v] & inside) for v in sub]
-            if any(d != 2 for d in degrees):
+            inside = sum(1 << v for v in sub)
+            if any((g.adj_masks[v] & inside).bit_count() != 2 for v in sub):
                 continue
             # 2-regular: a disjoint union of cycles; connected means one
             # cycle, and any induced cycle here has length >= 4.
@@ -66,8 +65,8 @@ def chordal_by_cycle_search(g: Graph) -> bool:
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for w in g.adj[u] & inside:
-                        if w not in seen:
+                    for w in sub:
+                        if g.adj_masks[u] >> w & 1 and w not in seen:
                             seen.add(w)
                             nxt.append(w)
                 frontier = nxt
@@ -138,7 +137,8 @@ def flip_graph(g: Graph, e: tuple[int, int]) -> Graph:
     u, v = e
     if not g.has_edge(u, v):
         raise GraphInputError(f"({u}, {v}) is not an edge of the graph")
-    members = sorted(g.adj[u] & g.adj[v])
+    common = g.adj_masks[u] & g.adj_masks[v]
+    members = [w for w in range(g.n) if common >> w & 1]
     edges = set(g.edges) - {(min(u, v), max(u, v))}
     edges.update(combinations(members, 2))
     return Graph(g.n, edges)

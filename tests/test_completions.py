@@ -204,8 +204,11 @@ def test_removal_order_rejects_non_minimal_completion():
     base = Graph(3)
     padded = Completion.from_edges(base, [(0, 1)])
     assert is_chordal_completion(padded)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^removal_order requires a minimal"):
         removal_order(padded)
+    hollow = Completion.empty(helpers.cycle_graph(4))
+    with pytest.raises(ValueError, match="^removal_order requires a chordal"):
+        removal_order(hollow)
 
 
 def test_proximity_frozen_values(c5):
@@ -290,6 +293,18 @@ def test_successor_rejects_non_fill_edge(c5):
     root = Completion.from_edges(c5, [(1, 4), (2, 4)])
     with pytest.raises(GraphInputError):
         successor(root, (0, 3))
+
+
+def test_successor_rejects_non_chordal_completion():
+    # C6 filled by 0-2 and 3-5 keeps the chordless cycle 0-2-3-5.
+    f = Completion.from_edges(helpers.cycle_graph(6), [(0, 2), (3, 5)])
+    assert not is_chordal_completion(f)
+    with pytest.raises(ValueError, match="^successor requires") as exc:
+        successor(f, (0, 2))
+    assert not isinstance(exc.value, GraphInputError)
+    # A bad edge is reported as such before chordality is looked at.
+    with pytest.raises(GraphInputError):
+        successor(f, (0, 3))
 
 
 def test_kernel_matches_greedy_retest_reference():

@@ -45,12 +45,18 @@ def test_graph_rejects_a_vertex_count_too_large_to_build():
 
 def test_adjacency_views_agree():
     g = Graph(5, [(0, 1), (1, 2), (0, 4)])
-    assert g.adj[0] == frozenset({1, 4})
-    assert g.adj[3] == frozenset()
+    assert g.adj_masks == (0b10010, 0b00101, 0b00010, 0, 0b00001)
     assert g.has_edge(1, 0) and not g.has_edge(2, 3)
-    for v in range(g.n):
-        assert g.adj[v] == frozenset(
-            u for u in range(g.n) if g.adj_masks[v] >> u & 1)
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in g.edges)
+            assert g.has_edge(u, v) == bool(g.adj_masks[u] >> v & 1)
+    # An endpoint outside 0..n-1, negative included, is no edge.
+    k3 = helpers.complete_graph(3)
+    for u, v in [(0, 3), (3, 0), (0, -1), (-1, 0), (-1, -1), (0, 10**30),
+                 (10**30, 1), (-(10**30), 2)]:
+        assert k3.has_edge(u, v) is False
+    assert Graph(0).has_edge(0, 0) is False
 
 
 def test_non_edges_sorted_and_partition():

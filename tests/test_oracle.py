@@ -14,9 +14,10 @@ import chordalenum.oracle as oracle
 import helpers
 from chordalenum import (Completion, Graph, SolutionSet,
                          brute_force_minimal_completions,
-                         chordal_completion_system, is_chordal,
-                         is_chordal_completion, non_edges, reverse_search,
-                         verify_solution_set, visited_set_search)
+                         chordal_completion_system, find_chordless_cycle,
+                         is_chordal, is_chordal_completion, non_edges,
+                         reverse_search, verify_solution_set,
+                         visited_set_search)
 
 
 def test_brute_force_on_four_cycle_frozen():
@@ -138,6 +139,43 @@ def test_verify_report_cycle_runs_through_fill_edges():
     line, = (line for line in str(report).splitlines()
              if line.startswith("not chordal"))
     assert line == "not chordal: Completion({0-2}), chordless cycle 0-2-3-4-5"
+
+
+def test_verify_report_cycles_are_chordless_cycles_of_the_filled_graph():
+    # About 200 seeded non-chordal fills of random graphs: each report
+    # line's cycle must be an induced cycle of length >= 4 of the filled
+    # graph, walked in order, and the one find_chordless_cycle gives.
+    rng = random.Random(514229)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(4, 9)
+        pairs = n * (n - 1) // 2
+        g = helpers.random_graph(rng, n, rng.randint(2, pairs - 1))
+        m = len(non_edges(g))
+        # Sparse fills leave longer cycles than uniform ones.
+        members = {Completion(g, rng.getrandbits(m) & rng.getrandbits(m))
+                   for _ in range(3)}
+        broken = [f for f in members if not is_chordal_completion(f)]
+        if not broken:
+            continue
+        report = verify_solution_set(SolutionSet.collect(broken, "broken"),
+                                     SolutionSet.collect([], "none"))
+        lines = [line for line in str(report).splitlines()
+                 if line.startswith("not chordal")]
+        assert len(lines) == len(broken)
+        for f, line in zip(report.not_chordal, lines):
+            head, cycle_text = line.split(", chordless cycle ")
+            assert head == f"not chordal: {f!r}"
+            cycle = [int(v) for v in cycle_text.split("-")]
+            filled = helpers.to_networkx(f.supergraph())
+            induced = filled.subgraph(cycle)
+            assert len(set(cycle)) == len(cycle) >= 4, line
+            assert all(d == 2 for _, d in induced.degree()), line
+            assert nx.is_connected(induced), line
+            assert all(filled.has_edge(a, b)
+                       for a, b in zip(cycle, cycle[1:] + cycle[:1])), line
+            assert cycle == find_chordless_cycle(f.supergraph()), line
+            checked += 1
 
 
 def test_verify_solution_set_reports_duplicates():
