@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .graph import (Edge, Graph, GraphInputError, _is_chordal_masks,
-                    _iter_bits, ground_index, non_edge_incidence, non_edges)
+from .graph import (Edge, Graph, GraphInputError, _iter_bits, _mcs_violation,
+                    ground_index, non_edge_incidence, non_edges)
 
 
 class Completion:
@@ -175,7 +175,7 @@ def _deletions(base: Graph, masks: list[int], candidates: int,
 
 def is_chordal_completion(f: Completion) -> bool:
     """Whether the base graph plus the fill edges is chordal."""
-    return _is_chordal_masks(f.base.n, _filled_masks(f.base, f.mask))
+    return _mcs_violation(f.base.n, _filled_masks(f.base, f.mask)) is None
 
 
 def _from_complete(base: Graph, candidates: int) -> Iterator[int]:
@@ -192,7 +192,7 @@ def _require_chordal(f: Completion, op: str) -> list[int]:
     """The filled adjacency of ``f``, built once and checked chordal (a
     fresh mutable list); ``op`` names the caller in the error."""
     masks = _filled_masks(f.base, f.mask)
-    if not _is_chordal_masks(f.base.n, masks):
+    if _mcs_violation(f.base.n, masks) is not None:
         raise ValueError(f"{op} requires a chordal completion")
     return masks
 

@@ -385,11 +385,15 @@ def visited_set_search(system: SetSystem,
 
 
 def _fill_index_at(mask: int, j: int) -> int:
-    """Index of the (j+1)-th lowest set bit of ``mask``."""
+    """Index of the (j+1)-th lowest set bit of ``mask``; IndexError when j
+    is not in ``range(mask.bit_count())``."""
+    rest = mask
     for _ in range(j):
-        mask &= mask - 1
-    low = mask & -mask
-    return low.bit_length() - 1
+        rest &= rest - 1
+    if not rest or j < 0:
+        raise IndexError(f"neighbor position {j} is not in "
+                         f"range({mask.bit_count()})")
+    return (rest & -rest).bit_length() - 1
 
 
 def chordal_completion_system(g: Graph) -> SetSystem:

@@ -115,51 +115,76 @@ def non_edge_incidence(g: Graph) -> tuple[int, ...]:
     return g._ne_incident
 
 
-def _is_chordal_masks(n: int, adj_masks) -> bool:
-    """Chordality test on a bitmask adjacency, in one pass of maximum
-    cardinality search (MCS).
+def _mcs_violation(n: int, adj_masks,
+                   visits: Optional[list[int]] = None
+                   ) -> Optional[tuple[int, int, int]]:
+    """One pass of maximum cardinality search (MCS) over a bitmask
+    adjacency: None when the graph is chordal, else its first violation
+    (v, a, b).
 
-    MCS visits next an unvisited vertex with the most visited neighbors.
-    As each vertex is visited the loop checks that its neighbors visited
-    before it form a clique, and rejects on the first that do not.  That
-    condition on every vertex says the reverse of the visit order is a
-    perfect elimination order, so passing it proves the graph chordal; and
-    on a chordal graph the reverse of any MCS order is a perfect
-    elimination order (Tarjan and Yannakakis, SIAM J. Comput. 1984), so no
-    chordal graph is rejected.
+    MCS visits next an unvisited vertex with the most visited neighbors,
+    the lowest-numbered one on ties.  The unvisited vertices are kept in
+    levels, one bitmask per weight, so a visit lifts each unvisited neighbor
+    one level instead of rescanning every weight.  As each vertex v is
+    visited the loop checks that its neighbors visited before it form a
+    clique.  The first v that fails is returned with a, the lowest of them
+    not adjacent to all the others, and b, the lowest of them not adjacent
+    to a (a < b).  Passing every check says the reverse of the visit order
+    is a perfect elimination order, so the graph is chordal; and on a
+    chordal graph the reverse of any MCS order is a perfect elimination
+    order (Tarjan and Yannakakis, SIAM J. Comput. 1984), so no chordal
+    graph fails.
+
+    ``visits``, when given, receives the visited vertices in order (the
+    tests compare it with a plain linear-scan MCS).
     """
-    weights = [0] * n
-    unvisited = (1 << n) - 1
-    while unvisited:
-        best, best_w = -1, -1
-        m = unvisited
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            if weights[v] > best_w:
-                best, best_w = v, weights[v]
-            m ^= low
-        earlier = adj_masks[best] & ~unvisited
+    full = (1 << n) - 1
+    levels = [full] + [0] * n
+    top = visited = 0
+    while visited != full:
+        level = levels[top]
+        while not level:
+            top -= 1
+            level = levels[top]
+        low = level & -level
+        levels[top] = level ^ low
+        v = low.bit_length() - 1
+        if visits is not None:
+            visits.append(v)
+        row = adj_masks[v]
+        earlier = row & visited
+        # Each a in earlier must see the rest of it.  a is never in its own
+        # row, so earlier misses an edge at a exactly when more than a is
+        # outside that row.  The highest a needs no check: a miss at it is
+        # a miss at a lower one.
         m = earlier
-        while m:
-            low = m & -m
-            # u is in earlier and never in its own adjacency, so earlier
-            # misses an edge at u exactly when more than u is outside it.
-            if earlier & ~adj_masks[low.bit_length() - 1] != low:
-                return False
-            m ^= low
-        unvisited ^= 1 << best
-        m = adj_masks[best] & unvisited
-        while m:
-            low = m & -m
-            weights[low.bit_length() - 1] += 1
-            m ^= low
-    return True
+        while m & (m - 1):
+            bit = m & -m
+            missed = earlier & ~adj_masks[bit.bit_length() - 1] ^ bit
+            if missed:
+                return (v, bit.bit_length() - 1,
+                        (missed & -missed).bit_length() - 1)
+            m ^= bit
+        visited |= low
+        # Lift each unvisited neighbor one level, from the top level down
+        # so that no vertex is lifted twice.
+        lift = row & ~visited
+        k = top
+        while lift:
+            moved = levels[k] & lift
+            if moved:
+                levels[k] ^= moved
+                levels[k + 1] |= moved
+                lift ^= moved
+                if k == top:
+                    top += 1
+            k -= 1
+    return None
 
 
 def is_chordal(g: Graph) -> bool:
     """Whether every cycle of length at least four in ``g`` has a chord."""
-    return _is_chordal_masks(g.n, g.adj_masks)
+    return _mcs_violation(g.n, g.adj_masks) is None
 
 
 def find_chordless_cycle(g: Graph) -> Optional[list[int]]:
@@ -167,36 +192,54 @@ def find_chordless_cycle(g: Graph) -> Optional[list[int]]:
 
     Returns None iff the graph is chordal.
     """
-    if is_chordal(g):
-        return None
     return _chordless_cycle_masks(g.n, g.adj_masks)
 
 
-def _chordless_cycle_masks(n: int, adj_masks) -> list[int]:
-    """A chordless cycle of a non-chordal bitmask adjacency, as a vertex list.
+def _chordless_cycle_masks(n: int, adj_masks) -> Optional[list[int]]:
+    """A chordless cycle of a bitmask adjacency, as a vertex list; None when
+    the graph is chordal.  One MCS pass and one breadth-first search.
 
-    Picks a vertex v with two non-adjacent neighbors a < b and a shortest a-b
-    path whose interior avoids N[v].  The cycle v, a, ..., b is chordless: v
-    sees only a and b on it, and a chord of the path would shorten it.  Every
-    non-chordal graph has such a triple (take v on a chordless cycle).
+    The cycle closes the first violation (v, a, b) of :func:`_mcs_violation`
+    with a shortest a-b path whose interior avoids N[v], listed as the path
+    followed by v.  It is chordless: v sees only a and b on it, a and b are
+    not adjacent, and a chord of the path would shorten it.
+
+    Such a path exists, by the MCS weight rule.  While MCS runs, write A(x)
+    for the visited neighbors of an unvisited x and w(x) = |A(x)| for its
+    weight, say z is above y when w(z) > w(y), and call the components of
+    the visited vertices outside N(y) the y-regions.  After every visit,
+    for all unvisited y and z:
+
+    (R) one y-region meets A(z) for every z above y;
+    (P) if w(z) >= w(y), every p in A(y) - A(z) reaches A(z) through a
+        y-region: by a path whose vertices after p are visited and outside
+        N(y), and whose last vertex is in A(z).
+
+    Both hold before the first visit, and they survive the visit of a
+    vertex u, which has the largest weight.  (R): if u is in N(y), w(y)
+    grows and the y-regions stay, so each z above y after the visit was
+    above it before.  If not, u joins a y-region that meets A(z) for every
+    z that u lifts above y; and if some z was above y before, so was u, so
+    the region of (R) meets A(u) and becomes part of u's.  (P): an old p
+    keeps its path, unless u, outside N(y) and adjacent to z, lifted w(z)
+    up to w(y).  Then p is adjacent to u or reaches A(u) by (P) for (y, u),
+    and u, outside N(y) and now in A(z), ends the path.  A new p = u, in
+    A(y) and not in A(z), means z was above y before the visit, and so was
+    u; the y-region of (R) then joins a neighbor of u to A(z).
+
+    Now let c be whichever of a and b was visited later, and d the other.
+    Take (P) with y = v and z = c just before c was visited: c had the
+    largest weight, and d, in A(v) and not adjacent to c, reaches A(c)
+    through a v-region.  With c added, that is an a-b path whose interior
+    avoids N[v].
     """
-    for v in range(n):
-        nb = adj_masks[v]
-        # The interior may use any vertex outside N[v]; b ends the path.
-        outside = ~(nb | 1 << v)
-        for a in _iter_bits(nb):
-            for b in _iter_bits(nb & ~adj_masks[a] & ~((2 << a) - 1)):
-                path = _shortest_path_masks(adj_masks, a, b, outside | 1 << b)
-                if path is not None:
-                    return [v] + path
-    raise AssertionError("non-chordal graph must contain a chordless cycle")
-
-
-def _shortest_path_masks(adj_masks, a: int, b: int,
-                         allowed: int) -> Optional[list[int]]:
-    """Shortest a-b path through the vertices of ``allowed``, as a vertex
-    list; None when there is none.  Breadth-first by layers, then back from
-    b through the lowest neighbor in each earlier layer."""
+    violation = _mcs_violation(n, adj_masks)
+    if violation is None:
+        return None
+    v, a, b = violation
+    allowed = ~(adj_masks[v] | 1 << v) | 1 << b
+    # Breadth first by layers from a, then back from b through the lowest
+    # neighbor in each earlier layer.
     layers = [1 << a]
     seen = 1 << a
     while not seen >> b & 1:
@@ -205,7 +248,7 @@ def _shortest_path_masks(adj_masks, a: int, b: int,
             frontier |= adj_masks[u]
         frontier &= allowed & ~seen
         if not frontier:
-            return None
+            raise AssertionError("an MCS violation always closes a cycle")
         layers.append(frontier)
         seen |= frontier
     path = [b]
@@ -213,4 +256,5 @@ def _shortest_path_masks(adj_masks, a: int, b: int,
         back = layer & adj_masks[path[-1]]
         path.append((back & -back).bit_length() - 1)
     path.reverse()
+    path.append(v)
     return path

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .completions import (Completion, _filled_masks, is_chordal_completion,
                           is_minimal)
-from .graph import (Graph, _chordless_cycle_masks, _iter_bits, ground_index,
-                    non_edges)
+from .graph import (Graph, _chordless_cycle_masks, _iter_bits,
+                    non_edge_incidence, non_edges)
 
 DEFAULT_GROUND_LIMIT = 20
 
@@ -131,12 +130,14 @@ def _certificate(g: Graph, mask: int) -> tuple[int, int]:
     either one of Z's edges, so filled by S, or one of its non-consecutive
     pairs, so outside S: E and K are those pairs inside and outside ``mask``.
     """
-    cycle = _chordless_cycle_masks(g.n, _filled_masks(g, mask))
-    pairs = 0
-    for u, v in combinations(cycle, 2):
-        i = ground_index(g, u, v)
-        if i is not None:
-            pairs |= 1 << i
+    incident = non_edge_incidence(g)
+    # The non-edges of G with both ends on Z, met the way the flip meets
+    # those inside a common neighborhood: each vertex's incidence row
+    # against the rows of the vertices before it.
+    pairs = seen = 0
+    for v in _chordless_cycle_masks(g.n, _filled_masks(g, mask)):
+        pairs |= incident[v] & seen
+        seen |= incident[v]
     return pairs, pairs & mask
 
 

@@ -75,6 +75,31 @@ def chordal_by_cycle_search(g: Graph) -> bool:
     return True
 
 
+def mcs_by_linear_scan(g: Graph):
+    """Reference maximum cardinality search, one weight scan per visit: the
+    visit order up to the first vertex whose earlier neighbors are not a
+    clique, and that violation (v, a, b) or None.  Ties go to the lowest
+    index; a is the lowest earlier neighbor of v not adjacent to all the
+    others, and b the lowest earlier neighbor not adjacent to a."""
+    weights = [0] * g.n
+    visited: list[int] = []
+    unvisited = set(range(g.n))
+    while unvisited:
+        v = max(sorted(unvisited), key=lambda u: weights[u])
+        visited.append(v)
+        earlier = [u for u in visited if g.has_edge(u, v)]
+        for a in sorted(earlier):
+            missed = [b for b in sorted(earlier)
+                      if b != a and not g.has_edge(a, b)]
+            if missed:
+                return visited, (v, a, missed[0])
+        unvisited.remove(v)
+        for u in unvisited:
+            if g.has_edge(u, v):
+                weights[u] += 1
+    return visited, None
+
+
 def random_graph(rng: random.Random, n: int,
                  non_edge_count: int) -> Graph:
     """Uniform graph on n vertices with exactly the given complement size."""

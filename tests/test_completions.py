@@ -177,7 +177,7 @@ def test_minimal_completion_root_builds_no_adjacency(monkeypatch):
     def counted(*args):
         calls.append(args)
     monkeypatch.setattr(chordalenum.completions, "_filled_masks", counted)
-    monkeypatch.setattr(chordalenum.completions, "_is_chordal_masks", counted)
+    monkeypatch.setattr(chordalenum.completions, "_mcs_violation", counted)
     for g in (helpers.cycle_graph(7), Graph(30), helpers.complete_graph(6)):
         minimal_completion_root(g)
     assert calls == []

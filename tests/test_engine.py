@@ -246,6 +246,25 @@ def test_walk_toward_a_non_minimal_target_is_a_proximity_search_error():
         next_toward(system, system.root, target)
 
 
+def test_chordal_positions_outside_the_fill_raise_index_error():
+    # Positions run over 0..neighbor_count(f) - 1.  Above the range the
+    # fill mask runs out; a negative position must not wrap to position 0.
+    g, system = _c5_system()
+    f = system.root
+    assert system.neighbor_count(f) == 2
+    assert [system.neighbor_at(f, j) for j in range(2)] == \
+        [successor(f, e) for e in f.fill_edges]
+    for call in (lambda j: system.neighbor_at(f, j),
+                 lambda j: system.position_excludes(f, j, f)):
+        for j in (2, 7, -1, -2):
+            with pytest.raises(IndexError, match=rf"^neighbor position {j} "
+                                                 r"is not in range\(2\)$"):
+                call(j)
+    path = helpers.path_graph(3)
+    with pytest.raises(IndexError, match=r"range\(0\)$"):
+        chordal_completion_system(path).neighbor_at(Completion.empty(path), 0)
+
+
 def test_subset_swap_system_enumerates_combinations():
     import itertools
     for m, k in [(5, 2), (6, 3)]:

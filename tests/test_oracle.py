@@ -265,6 +265,11 @@ def test_certificate_rejects_every_subset_it_covers():
         if is_chordal_completion(Completion(g, s)):
             continue
         pairs, e = oracle._certificate(g, s)
+        # E | K holds exactly the non-edges of G between cycle vertices.
+        cycle = find_chordless_cycle(Completion(g, s).supergraph())
+        ne = non_edges(g)
+        assert pairs == sum(1 << ne.index(p) for p in combinations(
+            sorted(cycle), 2) if p in ne)
         k = pairs & ~e
         assert e & ~s == 0 and k & s == 0
         free = ((1 << m) - 1) & ~pairs
@@ -308,7 +313,7 @@ def test_oracle_chordality_test_counts_are_frozen(monkeypatch):
         visits.clear()
         brute_force_minimal_completions(g)
         counts.append((len(calls), len(visits)))
-    assert counts == [(36, 45), (3, 3), (12, 15), (3, 3)]
+    assert counts == [(36, 45), (3, 3), (13, 20), (3, 3)]
 
 
 def test_oracle_family_is_chordal_antichain_equal_to_reverse_search():
