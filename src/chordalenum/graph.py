@@ -115,9 +115,7 @@ def non_edge_incidence(g: Graph) -> tuple[int, ...]:
     return g._ne_incident
 
 
-def _mcs_violation(n: int, adj_masks,
-                   visits: Optional[list[int]] = None
-                   ) -> Optional[tuple[int, int, int]]:
+def _mcs_violation(n: int, adj_masks) -> Optional[tuple[int, int, int]]:
     """One pass of maximum cardinality search (MCS) over a bitmask
     adjacency: None when the graph is chordal, else its first violation
     (v, a, b).
@@ -134,9 +132,6 @@ def _mcs_violation(n: int, adj_masks,
     chordal graph the reverse of any MCS order is a perfect elimination
     order (Tarjan and Yannakakis, SIAM J. Comput. 1984), so no chordal
     graph fails.
-
-    ``visits``, when given, receives the visited vertices in order (the
-    tests compare it with a plain linear-scan MCS).
     """
     full = (1 << n) - 1
     levels = [full] + [0] * n
@@ -149,8 +144,6 @@ def _mcs_violation(n: int, adj_masks,
         low = level & -level
         levels[top] = level ^ low
         v = low.bit_length() - 1
-        if visits is not None:
-            visits.append(v)
         row = adj_masks[v]
         earlier = row & visited
         # Each a in earlier must see the rest of it.  a is never in its own

@@ -141,10 +141,26 @@ def _assert_chordless_cycle(g: Graph, cycle: list[int]) -> None:
             assert g.has_edge(cycle[i], cycle[j]) == consecutive
 
 
+class _RowReads(list):
+    """Adjacency rows that record, in order, each vertex whose row is read
+    for the first time."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.first_reads: list[int] = []
+
+    def __getitem__(self, v):
+        if v not in self.first_reads:
+            self.first_reads.append(v)
+        return super().__getitem__(v)
+
+
 def test_mcs_kernel_matches_linear_scan_mcs():
     # The kernel keeps its unvisited vertices in per-weight levels; it must
     # visit in the order of one weight scan per visit and stop at the same
-    # first violation.  Chordal inputs show the whole visit order.
+    # first violation.  It reads a vertex's row first when it visits it
+    # (later reads are of rows already visited), so the first reads are its
+    # visit order; chordal inputs show the whole of it.
     rng = random.Random(610)
     graphs = helpers.atlas_graphs(7, min_n=0)
     for _ in range(300):
@@ -153,9 +169,11 @@ def test_mcs_kernel_matches_linear_scan_mcs():
             rng, n, rng.randint(0, n * (n - 1) // 2)))
         graphs.append(helpers.random_chordal_graph(rng, n))
     for g in graphs:
-        visits: list[int] = []
-        violation = _mcs_violation(g.n, g.adj_masks, visits)
-        assert (visits, violation) == helpers.mcs_by_linear_scan(g), g.edges
+        rows = _RowReads(g.adj_masks)
+        violation = _mcs_violation(g.n, rows)
+        assert violation == _mcs_violation(g.n, g.adj_masks)
+        assert ((rows.first_reads, violation)
+                == helpers.mcs_by_linear_scan(g)), g.edges
 
 
 def test_find_chordless_cycle_agrees_with_is_chordal():
