@@ -98,12 +98,36 @@ def _filled_masks(base: Graph, mask: int) -> list[int]:
     return masks
 
 
-def _flip(base: Graph, masks: list[int], mask: int, i: int) -> int:
+def _flip(base: Graph, masks: list[int], mask: int,
+          i: int) -> tuple[int, int]:
     """Flip kernel: drop fill index ``i`` from ``mask`` and add every
     non-edge lying inside the common neighborhood of its endpoints.
 
     ``masks`` must be the filled adjacency of ``mask``; it is edited in
-    place into the flipped mask's, which is returned.
+    place into the flipped mask's.  Returns the flipped mask and ``near``,
+    the fill pairs joining an endpoint x or y of the flipped edge to a
+    vertex of C, the common neighborhood of x and y.
+
+    When ``mask`` is a minimal completion, with filled graph H, no fill
+    pair of the flipped graph H' outside ``near`` is removable: each pair
+    ab of the four kinds below keeps, in its common neighborhood in H', two
+    vertices with no edge between them.  H' is H minus xy plus a clique on
+    C.  Every fill pair of H other than xy has such a missing pair p, q in
+    its common neighborhood in H, as ``mask`` is minimal, and the pair p, q
+    is never x, y unless a, b are both in C.
+
+    - a, b both outside C and {x, y}: their rows are unchanged.  If p and q
+      were both in C, the 4-cycle p-a-q-x of the chordal H, whose chord pq
+      is missing, would need the chord a-x, and likewise a-y would be an
+      edge, which puts a in C; so pq is still missing in H'.
+    - a = x (or y) and b outside C: b is not adjacent to y, so the common
+      neighborhood is unchanged, and the same 4-cycle argument through y
+      (p-b-q-y) keeps p, q from lying both in C.
+    - a in C and b outside C and {x, y}: the common neighborhood only
+      grows, and p, q cannot both lie in C, or the 4-cycle p-b-q-x would
+      make b adjacent to x, and likewise to y, so b would be in C.
+    - a, b both in C: x and y are both common neighbors, and xy is now
+      missing.
     """
     x, y = non_edges(base)[i]
     incident = non_edge_incidence(base)
@@ -120,11 +144,11 @@ def _flip(base: Graph, masks: list[int], mask: int, i: int) -> int:
         m ^= low
     masks[x] &= ~(1 << y)
     masks[y] &= ~(1 << x)
-    return (mask | within) & ~(1 << i)
+    return (mask | within) & ~(1 << i), (incident[x] | incident[y]) & seen
 
 
 def _deletions(base: Graph, masks: list[int], candidates: int,
-               cover: int = -1) -> Iterator[int]:
+               cover: int = -1, stuck: int = 0) -> Iterator[int]:
     """Greedy reduction kernel.
 
     Repeatedly finds the smallest-index non-edge in ``candidates`` whose
@@ -136,6 +160,10 @@ def _deletions(base: Graph, masks: list[int], candidates: int,
     (default: every vertex).  The clique test looks only at the common
     neighbors inside it: a missing edge between two common neighbors is
     seen from either end, so from the end the cover holds.
+
+    ``stuck`` seeds the pairs to skip; it may hold only pairs that are not
+    removable in ``masks``, so that the smallest removable index is the
+    same as with the empty seed.
     """
     # Deleting edge (u, v) cannot unblock a pair disjoint from {u, v}: that
     # pair's common neighborhood is unchanged and only gains violations.  So
@@ -143,7 +171,6 @@ def _deletions(base: Graph, masks: list[int], candidates: int,
     # their endpoints; the smallest removable index is the same either way.
     ne = non_edges(base)
     incident = non_edge_incidence(base)
-    stuck = 0
     while True:
         m = candidates & ~stuck
         while m:
@@ -194,6 +221,15 @@ def _require_chordal(f: Completion, op: str) -> list[int]:
     masks = _filled_masks(f.base, f.mask)
     if _mcs_violation(f.base.n, masks) is not None:
         raise ValueError(f"{op} requires a chordal completion")
+    return masks
+
+
+def _require_minimal(f: Completion, op: str) -> list[int]:
+    """``_require_chordal``, and also checked minimal: the kernel finds no
+    removable fill edge, so it leaves the adjacency as built."""
+    masks = _require_chordal(f, op)
+    if next(_deletions(f.base, masks, f.mask), None) is not None:
+        raise ValueError(f"{op} requires a minimal chordal completion")
     return masks
 
 
@@ -330,9 +366,7 @@ def removal_order(f: Completion) -> tuple[Edge, ...]:
     restricted to the complement of ``f``, deletes them; it is the canonical
     form the enumeration engine keys its parent relation on.
     """
-    kernel = _deletions(f.base, _require_chordal(f, "removal_order"), f.mask)
-    if next(kernel, None) is not None:
-        raise ValueError("removal_order requires a minimal chordal completion")
+    _require_minimal(f, "removal_order")
     ne = non_edges(f.base)
     return tuple(ne[i] for i in RemovalTrace(f).force())
 
@@ -373,27 +407,32 @@ def flip(f: Completion, e: Edge) -> Completion:
     the step the enumeration uses to move between minimal completions.
     """
     return Completion(f.base, _flip(f.base, _filled_masks(f.base, f.mask),
-                                    f.mask, _fill_index(f, e)))
+                                    f.mask, _fill_index(f, e))[0])
 
 
 def _successor_mask(base: Graph, mask: int, i: int, masks: list[int]) -> int:
-    """Flip fill index ``i`` out of ``mask``, then greedily reduce; one
-    adjacency serves both halves.
+    """Flip fill index ``i`` out of the minimal completion ``mask``, then
+    greedily reduce; one adjacency serves both halves.
 
     ``masks`` must be the filled adjacency of ``mask`` (as ``_filled_masks``
-    builds it); it is edited in place and ends as the result's.
+    builds it); it is edited in place and ends as the result's.  The
+    reduction starts with every flipped fill pair stuck except ``near``,
+    those joining the flipped edge's ends to their common neighborhood:
+    ``_flip`` proves, case by case, that no other pair is removable right
+    after the flip.
     """
-    mask = _flip(base, masks, mask, i)
-    for j in _deletions(base, masks, mask):
+    mask, near = _flip(base, masks, mask, i)
+    for j in _deletions(base, masks, mask, stuck=mask & ~near):
         mask ^= 1 << j
     return mask
 
 
 def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
-    back to a minimal one."""
+    back to a minimal one; raises ``ValueError`` when ``f`` is not a
+    minimal chordal completion."""
     return Completion(f.base, _successor_mask(
-        f.base, f.mask, _fill_index(f, e), _require_chordal(f, "successor")))
+        f.base, f.mask, _fill_index(f, e), _require_minimal(f, "successor")))
 
 
 def minimal_completion_root(g: Graph) -> Completion:

@@ -8,10 +8,12 @@ import pytest
 
 import chordalenum.completions
 import helpers
-from chordalenum import (Completion, Graph, GraphInputError, flip, is_chordal,
+from chordalenum import (Completion, Graph, GraphInputError,
+                         chordal_completion_system, flip, is_chordal,
                          is_chordal_completion, is_minimal,
                          minimal_completion_root, non_edges, proximity, prune,
-                         removable_edges, removal_order, successor)
+                         removable_edges, removal_order, successor,
+                         visited_set_search)
 from helpers import flip_graph, removable_edges_by_retest
 
 
@@ -305,6 +307,52 @@ def test_successor_rejects_non_chordal_completion():
     # A bad edge is reported as such before chordality is looked at.
     with pytest.raises(GraphInputError):
         successor(f, (0, 3))
+
+
+def test_successor_rejects_non_minimal_completion():
+    # Both fills are chordal on the edgeless 4-vertex graph, and the empty
+    # fill is already one, so {0-1, 0-2} is not minimal.
+    f = Completion.from_edges(Graph(4, []), [(0, 1), (0, 2)])
+    assert is_chordal_completion(f) and not is_minimal(f)
+    with pytest.raises(ValueError,
+                       match="^successor requires a minimal chordal completion$"
+                       ) as exc:
+        successor(f, (0, 1))
+    assert not isinstance(exc.value, GraphInputError)
+    with pytest.raises(GraphInputError):
+        successor(f, (1, 2))
+
+
+def test_flip_unblocks_only_pairs_at_the_flipped_edge():
+    """After e = xy is flipped out of a minimal completion with filled graph
+    H, every removable fill pair joins x or y to C, the common neighborhood
+    of x and y in H; ``_flip`` returns exactly those fill pairs as ``near``,
+    the only pairs the successor's reduction starts by testing."""
+    rng = random.Random(2971)
+    graphs = helpers.atlas_graphs(7) + [
+        helpers.random_graph_at_most(rng, rng.randint(4, 12), 12)
+        for _ in range(300)]
+    flips = 0
+    for g in graphs:
+        ne = non_edges(g)
+        for f in visited_set_search(chordal_completion_system(g)):
+            rows = f.supergraph().adj_masks
+            for x, y in f.fill_edges:
+                c = rows[x] & rows[y]
+                flipped = flip(f, (x, y))
+                joins = {i for i, (a, b) in enumerate(ne)
+                         if flipped.mask >> i & 1
+                         and (a in (x, y) and c >> b & 1
+                              or b in (x, y) and c >> a & 1)}
+                assert {ne.index(p) for p in removable_edges(flipped)} <= \
+                    joins, (g.edges, f, (x, y))
+                i = ne.index((x, y))
+                assert chordalenum.completions._flip(
+                    g, list(rows), f.mask, i) == (
+                        flipped.mask, sum(1 << j for j in joins)), \
+                    (g.edges, f, (x, y))
+                flips += 1
+    assert flips > 6000
 
 
 def test_kernel_matches_greedy_retest_reference():
