@@ -4,10 +4,10 @@ The engine walks a spanning arborescence over the solutions of a set system
 without storing it.  The arborescence is defined by canonical-path
 reconstruction: each solution carries a canonical ordering of its elements,
 a proximity measure says how far along that ordering another solution
-agrees, and a next-step function moves strictly closer to any target.  The
-parent of a solution is the last stop before it on the canonical path from
-the root; children are recomputed on demand, so the traversal retains only a
-constant number of solutions at a time.
+agrees, and a step position names the neighbor that moves strictly closer
+to any target.  The parent of a solution is the last stop before it on the
+canonical path from the root; children are recomputed on demand, so the
+traversal retains only a constant number of solutions at a time.
 
 The canonical walk is written once, in ``_path``: ``canonical_path``,
 ``next_toward``, ``parent``, the backtrack and the child test's check walk
@@ -48,22 +48,19 @@ class SetSystem:
     ``neighbor_at(f, j)`` must be deterministic in ``j`` for fixed ``f``; the
     scan order over ``j`` is what fixes which neighbor owns a child that can
     be produced several ways.  ``ordering(f)`` returns whatever token this
-    system's own ``proximity`` and ``next_step`` understand (a tuple, or a
-    lazily grown trace).
+    system's own ``proximity`` and ``step_position`` understand (a tuple, or
+    a lazily grown trace).
     ``proximity(f, order, start)`` may assume the first ``start`` ordering
     elements already matched and resume there.
 
     ``step_position(f, order, i)`` receives the precomputed proximity ``i``
     of ``f`` toward a target whose ordering is ``order`` and returns the
     neighbor position the canonical step takes; the child test compares that
-    position with the scan position before it computes any solution.
-    ``next_step(f, target, order, i)`` is the step itself, and must equal
-    ``neighbor_at(f, step_position(f, order, i))``; a system giving
-    ``next_step`` must give ``step_position`` too.  With ``step_position``
-    alone the step is ``neighbor_at`` at that position; with
-    neither, a generic fallback picks the first position of the
-    ``solution_key``-smallest neighbor strictly closer to the target (it
-    evaluates every neighbor per step, which the specialized steps avoid).
+    position with the scan position before it computes any solution.  Every
+    step is ``neighbor_at`` at that position.  Without ``step_position`` a
+    generic fallback picks the first position of the ``solution_key``-smallest
+    neighbor strictly closer to the target (it evaluates every neighbor per
+    step, which the specialized position avoids).
     ``position_excludes(f, j, cand)``, when given, may cheaply rule out
     position j producing ``cand``; it is only an optimization and must never
     rule out a position that does produce it.
@@ -71,9 +68,13 @@ class SetSystem:
     Tokens slice like tuple prefixes: ``order[:n]`` must be a token of the
     same system whose proximity is ``min(proximity, n)`` and which has no
     element at position n or later (tuples already are).  The check walk
-    toward a candidate child passes ``order[:i_f + 1]`` to ``proximity``,
-    ``step_position`` and ``next_step``, because it only steps from
-    proximities below ``i_f`` and stops at ``i_f``.
+    toward a candidate child passes ``order[:i_f + 1]`` to ``proximity``
+    and ``step_position``, because it only steps from proximities below
+    ``i_f`` and stops at ``i_f``.
+
+    The engine does not read ``next_step``.  The field stays only because
+    ``perfbench/tracing.py`` wraps it; it goes when the tracer tags
+    ``neighbor_at`` calls by call site instead (ROADMAP item 3).
     """
 
     root: Any
@@ -85,11 +86,6 @@ class SetSystem:
     next_step: Optional[Callable[[Any, Any, Any, int], Any]] = None
     position_excludes: Optional[Callable[[Any, int, Any], bool]] = None
     step_position: Optional[Callable[[Any, Any, int], int]] = None
-
-    def __post_init__(self) -> None:
-        if self.next_step is not None and self.step_position is None:
-            raise ValueError("a SetSystem with next_step needs step_position, "
-                             "the neighbor position that step takes")
 
 
 _COUNTERS = ("neighbor_evals", "orderings", "check_walks", "backtrack_walks",
@@ -166,10 +162,9 @@ def _path(system: SetSystem, start: Any, target: Any, order: Sequence,
     ``i`` toward the target, and the neighbor position ``k`` of the step
     that reached it.
 
-    ``k`` is None at ``start`` and wherever ``next_step`` took the step;
-    without ``next_step`` the step is ``neighbor_at`` at the step position,
-    so that position is computed once per step.  ``i`` is None at the
-    target, whose proximity is never computed.  The step out of a probe is
+    ``k`` is None at ``start`` only: every step is ``neighbor_at`` at the
+    step position, computed once per step.  ``i`` is None at the target,
+    whose proximity is never computed.  The step out of a probe is
     taken only when the caller asks for the next item, and the proximity
     scan resumes where the previous probe's stopped, since proximity
     strictly increases along the path.
@@ -178,11 +173,8 @@ def _path(system: SetSystem, start: Any, target: Any, order: Sequence,
     while probe != target:
         i = system.proximity(probe, order, i + 1)
         yield probe, i, k
-        if system.next_step is None:
-            k = _step_position(system, probe, order, i)
-            probe = system.neighbor_at(probe, k)
-        else:
-            probe = system.next_step(probe, target, order, i)
+        k = _step_position(system, probe, order, i)
+        probe = system.neighbor_at(probe, k)
         stats.walk_steps += 1
     yield probe, None, k
 
@@ -210,10 +202,10 @@ def canonical_path(system: SetSystem, target: Any) -> list:
 def _parent_step(system: SetSystem, f: Any, order: Sequence,
                  stats: TraversalStats) -> tuple[Any, int]:
     """The parent of ``f`` and the neighbor position of its step to ``f``,
-    from a walk that holds one probe at a time."""
-    (up, i, _), (_, _, k) = deque(
+    from a walk that holds one probe at a time; ``f`` is not the root."""
+    (up, _, _), (_, _, k) = deque(
         _path(system, system.root, f, order, stats), maxlen=2)
-    return up, _step_position(system, up, order, i) if k is None else k
+    return up, k
 
 
 def parent(system: SetSystem, f: Any) -> Any:
@@ -403,7 +395,7 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     (j+1)-th fill edge and reduces.  The ordering of a solution is the
     canonical removal trace of its complement.  The step position is the
     rank, among the fill edges, of the ordering element right after the
-    matched prefix, and the next step is ``neighbor_at`` at that position.
+    matched prefix; the engine steps by ``neighbor_at`` at that position.
 
     Successors start from a stored filled adjacency where one is at hand:
     the system builds the root's adjacency at set-up and keeps, as tuples
@@ -462,10 +454,6 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         # Position j flips the (j+1)-th fill edge: the rank of the edge.
         return (f.mask & ((1 << idx) - 1)).bit_count()
 
-    def next_step(f: Completion, target: Completion, order: RemovalTrace,
-                  i: int) -> Completion:
-        return neighbor_at(f, step_position(f, order, i))
-
     def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
         # A flip by edge e never re-adds e, so a candidate containing the
         # edge at position j cannot have come from it.
@@ -474,5 +462,5 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     return SetSystem(root=root, neighbor_count=neighbor_count,
                      neighbor_at=neighbor_at, ordering=ordering,
                      proximity=prox, solution_key=solution_key,
-                     next_step=next_step, position_excludes=position_excludes,
+                     position_excludes=position_excludes,
                      step_position=step_position)

@@ -268,5 +268,4 @@ def subset_swap_system(m: int, k: int,
                      ordering=ordering,
                      proximity=proximity,
                      solution_key=solution_key,
-                     next_step=None,
                      position_excludes=position_excludes if with_filter else None)

@@ -237,6 +237,30 @@ def test_verify_skips_oracle_above_limit():
     assert code == 0
     assert "oracle skipped: 5 non-edges exceed the limit of 3" in out
     assert "modes agree: yes" in out
+    assert "verification ok" in out
+
+
+@pytest.mark.parametrize("oracle_limit", [20, 3])
+def test_verify_fails_on_a_shared_non_minimal_emission(monkeypatch,
+                                                        oracle_limit):
+    # Both modes emit the full completion in place of the smallest
+    # solution, so they agree; the run must fail with or without the oracle.
+    def with_full(search):
+        def swapped(system, stats=None):
+            results = list(search(system, stats))
+            smallest = min(results, key=lambda f: f.mask)
+            return iter([chordalenum.Completion.full(f.base)
+                         if f == smallest else f for f in results])
+        return swapped
+    for name in ("reverse_search", "visited_set_search"):
+        monkeypatch.setattr(cli, name, with_full(getattr(cli, name)))
+    six_cycle = "".join(f"{v} {(v + 1) % 6}\n" for v in range(6))
+    config = RunConfig(command="verify", text=six_cycle,
+                       oracle_limit=oracle_limit)
+    code, out, _ = _run(config)
+    assert code == 1
+    assert "modes agree: yes" in out
+    assert "not minimal: " in out
 
 
 def test_verify_runs_the_oracle_on_a_nine_cycle(tmp_path, capsys):

@@ -29,7 +29,7 @@ def _solutions(g) -> set[Completion]:
 
 def _generic(system: SetSystem) -> SetSystem:
     """The same system driven purely by the fallback machinery."""
-    return dataclasses.replace(system, step_position=None, next_step=None,
+    return dataclasses.replace(system, step_position=None,
                                position_excludes=None)
 
 
@@ -305,7 +305,7 @@ def test_child_decision_matches_step_reference():
         g = helpers.random_graph(rng, n,
                                  rng.randint(n, min(18, n * (n - 1) // 2)))
         system = chordal_completion_system(g)
-        variants = [system, dataclasses.replace(system, next_step=None)]
+        variants = [system]
         if trial % 10 == 0:
             variants.append(_generic(system))
         for f in _solutions(g):
@@ -323,12 +323,6 @@ def test_child_decision_matches_step_reference():
             for f in visited_set_search(system):
                 assert children(system, f) == \
                     helpers.children_by_step_reference(system, f)
-
-
-def test_next_step_without_step_position_is_rejected():
-    _, system = _c5_system()
-    with pytest.raises(ValueError, match="step_position"):
-        dataclasses.replace(system, step_position=None)
 
 
 # An 11-vertex graph on which a backtrack leaves a child whose canonical
@@ -361,8 +355,8 @@ def _count_calls(system: SetSystem, name: str):
 
 
 def test_generic_parent_walk_evaluates_each_neighbor_once_per_step():
-    # Without next_step or step_position each walk step evaluates every
-    # neighbor to find the step position, then takes the step at it.
+    # Without step_position each walk step evaluates every neighbor to find
+    # the step position, then takes the step at it.
     system = helpers.subset_swap_system(6, 3)
     lengths = collections.Counter()
     for f in visited_set_search(system):
@@ -465,6 +459,24 @@ def test_reverse_search_work_counters_are_frozen():
         assert stats.as_dict() == dict(zip(names, frozen))
 
 
+def test_every_step_is_neighbor_at_at_the_step_position():
+    # Scans and walks both go through neighbor_at, so a reverse search makes
+    # one call per neighbor evaluation and one per walk step, and never
+    # calls the next_step field.
+    def no_next_step(*args):
+        raise AssertionError("the engine called next_step")
+    cases = [(helpers.cycle_graph(7), 168 + 225),
+             (Graph(11, OWNER_BELOW_STEP_EDGES), 240 + 62)]
+    for g, frozen in cases:
+        system = dataclasses.replace(chordal_completion_system(g),
+                                     next_step=no_next_step)
+        counted, calls = _count_calls(system, "neighbor_at")
+        stats = TraversalStats()
+        for _ in reverse_search(counted, stats):
+            pass
+        assert calls[0] == stats.neighbor_evals + stats.walk_steps == frozen
+
+
 def _count_builds(monkeypatch, *modules) -> list:
     """Record the fill mask of every filled-adjacency build, patched where
     ``modules`` read the builder."""
@@ -502,7 +514,7 @@ def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
         while probe != target:
             i = system.proximity(probe, order, i + 1)
             j = system.step_position(probe, order, i)
-            step = system.next_step(probe, target, order, i)
+            step = system.neighbor_at(probe, j)
             assert step == successor(probe, probe.fill_edges[j])
             probe = step
             calls += 1
