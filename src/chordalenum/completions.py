@@ -291,7 +291,9 @@ class RemovalTrace:
     only a prefix of it, so elements are computed one at a time and cached.
     Assumes the underlying completion is minimal (the trace drains the whole
     complement for any chordal completion, minimal or not, so callers that
-    cannot guarantee minimality must check it separately).
+    cannot guarantee minimality must check it separately).  The trace of a
+    completion that is not chordal ends where the reduction stalls, short of
+    the complement.
 
     ``trace[:n]`` is the trace cut after its first n elements, like a tuple
     prefix: a trace of its own whose proximity is ``min(proximity, n)``,
@@ -323,12 +325,10 @@ class RemovalTrace:
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the
         end."""
-        if pos >= self._stop:
-            return None
         seq = self._seq
-        while len(seq) <= pos:
+        while len(seq) <= pos < self._stop:
             self._extend()
-        return seq[pos]
+        return seq[pos] if pos < self._stop else None
 
     def prefix_against(self, fill_mask: int, start: int = 0) -> int:
         """Position of the first trace element inside ``fill_mask`` at or
@@ -344,13 +344,17 @@ class RemovalTrace:
                 i += 1
             else:
                 self._extend()
+                stop = self._stop
         return stop
 
     def _extend(self) -> None:
         i = next(self._deletions, None)
         if i is None:
-            raise ValueError("removal trace stalled: not a chordal completion")
-        self._seq.append(i)
+            # The reduction stalls short of the complement of a completion
+            # that is not chordal: its trace ends at the elements so far.
+            self._stop = len(self._seq)
+        else:
+            self._seq.append(i)
 
     def force(self) -> tuple[int, ...]:
         seq = self._seq

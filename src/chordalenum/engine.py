@@ -11,8 +11,9 @@ traversal retains only a constant number of solutions at a time.
 
 The canonical walk is written once, in ``_path``: ``canonical_path``,
 ``next_toward``, ``parent``, the backtrack and the child test's check walk
-all read from it.  The neighbor scan is written once, in ``_next_child``:
-``children`` and ``reverse_search`` both scan through it.
+all read from it.  The neighbor scan is written once, in the generator
+``_children``: ``children`` reads all of it, and ``reverse_search`` takes
+one child at a time from a fresh scan.
 
 Solutions must be hashable and comparable with ``==``.  Orderings are
 tuples of ground elements, or tokens that behave like them (the chordal
@@ -272,11 +273,11 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
             return None
 
 
-def _next_child(system: SetSystem, f: Any, j: int, stats: TraversalStats
-                ) -> Optional[tuple[int, Any, Sequence]]:
-    """The first child of ``f`` at neighbor position ``j`` or later, as its
-    position, the child and the child's ordering; None if there is none.
-    The root is never anyone's child."""
+def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats
+              ) -> Iterator[tuple[int, Any, Sequence]]:
+    """The children of ``f`` at neighbor position ``j`` or later, in scan
+    order, each as its position, the child and the child's ordering.  The
+    root is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
         stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
@@ -284,20 +285,13 @@ def _next_child(system: SetSystem, f: Any, j: int, stats: TraversalStats
         if cand != system.root and cand != f:
             order = _is_child(system, f, cand, j, stats)
             if order is not None:
-                return j, cand, order
-    return None
+                yield j, cand, order
 
 
 def children(system: SetSystem, f: Any) -> list:
     """The children of ``f`` in the arborescence, in scan order; a child
     appears once, at the smallest neighbor position producing it."""
-    out, stats = [], TraversalStats()
-    found = _next_child(system, f, 0, stats)
-    while found is not None:
-        j, child, _ = found
-        out.append(child)
-        found = _next_child(system, f, j + 1, stats)
-    return out
+    return [c for _, c, _ in _children(system, f, 0, TraversalStats())]
 
 
 def reverse_search(system: SetSystem,
@@ -315,6 +309,8 @@ def reverse_search(system: SetSystem,
     The traversal's whole state is the current node, its depth parity, the
     neighbor position its scan resumes at, and its ordering when the child
     test that descended to it built one (the backtrack out of it reuses it).
+    Each step takes one child from a fresh scan and drops the scan: a scan
+    held per level would be a stack of solutions.
     """
     if stats is None:
         stats = TraversalStats()
@@ -324,7 +320,7 @@ def reverse_search(system: SetSystem,
     yield current
 
     while True:
-        found = _next_child(system, current, j, stats)
+        found = next(_children(system, current, j, stats), None)
         if found is not None:
             _, current, order = found
             odd, j = not odd, 0
@@ -360,11 +356,9 @@ def visited_set_search(system: SetSystem,
     if stats is None:
         stats = TraversalStats()
     seen = {system.root}
-    queue = [system.root]
-    head = 0
-    while head < len(queue):
-        f = queue[head]
-        head += 1
+    queue = deque([system.root])
+    while queue:
+        f = queue.popleft()
         stats.note_emission()
         yield f
         for j in range(system.neighbor_count(f)):
@@ -425,14 +419,8 @@ def chordal_completion_system(g: Graph) -> SetSystem:
             del recent[next(iter(recent))]
         return result
 
-    def neighbor_count(f: Completion) -> int:
-        return f.mask.bit_count()
-
     def neighbor_at(f: Completion, j: int) -> Completion:
         return Completion(g, successor_mask(f.mask, _fill_index_at(f.mask, j)))
-
-    def ordering(f: Completion) -> RemovalTrace:
-        return RemovalTrace(f)
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:
         return order.prefix_against(f.mask, start)
@@ -459,8 +447,8 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         # edge at position j cannot have come from it.
         return bool(cand.mask >> _fill_index_at(f.mask, j) & 1)
 
-    return SetSystem(root=root, neighbor_count=neighbor_count,
-                     neighbor_at=neighbor_at, ordering=ordering,
+    return SetSystem(root=root, neighbor_count=Completion.size,
+                     neighbor_at=neighbor_at, ordering=RemovalTrace,
                      proximity=prox, solution_key=solution_key,
                      position_excludes=position_excludes,
                      step_position=step_position)

@@ -244,6 +244,23 @@ def test_walk_toward_a_non_minimal_target_is_a_proximity_search_error():
         parent(system, target)
     with pytest.raises(ProximitySearchError, match="not a solution"):
         next_toward(system, system.root, target)
+    # C6 filled with one chord is not chordal: its ordering ends where the
+    # greedy reduction stalls, before the walk reaches it.  (The first step
+    # out of the root toward it exists, so next_toward is not asked.)
+    c6 = helpers.cycle_graph(6)
+    c6_system = chordal_completion_system(c6)
+    target = Completion.from_edges(c6, [(0, 2)])
+    with pytest.raises(ProximitySearchError, match="not a solution"):
+        canonical_path(c6_system, target)
+    with pytest.raises(ProximitySearchError, match="not a solution"):
+        parent(c6_system, target)
+    # A step toward an ordering element that is not a fill edge of the
+    # probe: the root's own first ordering element lies outside its fill.
+    root = system.root
+    order = system.ordering(root)
+    assert not root.mask >> order.element(0) & 1
+    with pytest.raises(ProximitySearchError, match="not a fill edge"):
+        system.step_position(root, order, 0)
 
 
 def test_chordal_positions_outside_the_fill_raise_index_error():
