@@ -6,11 +6,18 @@ minimal when no proper subset of its fill is itself a chordal completion.
 Everything here identifies a completion with the bitmask of its fill over the
 base graph's sorted non-edge list, which keeps the hot operations (removal
 traces, flips, greedy reduction) to a handful of integer operations each.
+
+One greedy-deletion kernel, ``_reduce``, does every reduction: the root, the
+removal traces, the successors, ``prune`` and the minimality tests.  Each
+caller runs it in one call, which either drains it or stops it after its
+first deletion inside a given mask; a removal trace keeps the kernel's
+returned state and resumes it when asked for more.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional, Sequence
 
 from .graph import (Edge, Graph, GraphInputError, _iter_bits, _mcs_violation,
                     ground_index, non_edge_incidence, non_edges)
@@ -147,28 +154,35 @@ def _flip(base: Graph, masks: list[int], mask: int,
     return (mask | within) & ~(1 << i), (incident[x] | incident[y]) & seen
 
 
-def _deletions(base: Graph, masks: list[int], candidates: int,
-               cover: int = -1, stuck: int = 0) -> Iterator[int]:
-    """Greedy reduction kernel.
+def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
+            stuck: int = 0, stop: int = 0,
+            out: Optional[list[int]] = None) -> tuple[int, int, int]:
+    """Greedy-deletion kernel, the one loop that deletes fill edges.
 
-    Repeatedly finds the smallest-index non-edge in ``candidates`` whose
-    endpoints' common neighborhood in ``masks`` is a clique (so deleting it
-    keeps a chordal graph chordal), deletes it from ``masks`` in place and
-    yields its index; stops when no candidate is removable.
+    Repeatedly deletes from ``masks``, in place, the smallest-index non-edge
+    in ``candidates`` whose endpoints' common neighborhood in ``masks`` is a
+    clique (so deleting it keeps a chordal graph chordal), and appends its
+    index to ``out`` when given.  Stops after deleting an index in ``stop``
+    (-1: after the first deletion; 0: never), or when no candidate is
+    removable.  Returns ``(candidates, cover, stuck)`` as they then stand:
+    the first is what is left of the candidates, and passed back with the
+    same ``masks`` the three resume the reduction where it stopped.  Once no
+    candidate is removable every one left is stuck, so a resumed call
+    returns at once, with no deletion.
 
     ``cover`` must hold an endpoint of every edge missing from ``masks``
     (default: every vertex).  The clique test looks only at the common
     neighbors inside it: a missing edge between two common neighbors is
-    seen from either end, so from the end the cover holds.
+    seen from either end, so from the end the cover holds.  Each deletion
+    adds an endpoint of the edge it removes.
 
-    ``stuck`` seeds the pairs to skip; it may hold only pairs that are not
-    removable in ``masks``, so that the smallest removable index is the
-    same as with the empty seed.
+    ``stuck`` holds pairs to skip, and may hold only pairs not removable in
+    ``masks``.  Deleting edge (u, v) cannot unblock a pair disjoint from
+    {u, v}: that pair's common neighborhood is unchanged and only gains
+    violations.  So a pair found stuck is skipped until a deletion touches
+    one of its endpoints, and the smallest removable index is the same as
+    with no pair skipped.
     """
-    # Deleting edge (u, v) cannot unblock a pair disjoint from {u, v}: that
-    # pair's common neighborhood is unchanged and only gains violations.  So
-    # pairs once found stuck are skipped until a deletion touches one of
-    # their endpoints; the smallest removable index is the same either way.
     ne = non_edges(base)
     incident = non_edge_incidence(base)
     while True:
@@ -191,13 +205,16 @@ def _deletions(base: Graph, masks: list[int], candidates: int,
             stuck |= low
             m ^= low
         else:
-            return
+            return candidates, cover, stuck
         masks[u] &= ~(1 << v)
         masks[v] &= ~(1 << u)
         cover |= 1 << u
         candidates ^= low
         stuck &= ~(incident[u] | incident[v])
-        yield i
+        if out is not None:
+            out.append(i)
+        if stop & low:
+            return candidates, cover, stuck
 
 
 def is_chordal_completion(f: Completion) -> bool:
@@ -205,14 +222,12 @@ def is_chordal_completion(f: Completion) -> bool:
     return _mcs_violation(f.base.n, _filled_masks(f.base, f.mask)) is None
 
 
-def _from_complete(base: Graph, candidates: int) -> Iterator[int]:
-    """``_deletions`` run from the complete graph K_n over ``candidates``:
-    the greedy reduction that defines the root and every removal trace."""
-    n = base.n
-    full = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
-    # K_n misses no edge, so the empty set covers them; each deletion then
-    # adds one endpoint.
-    return _deletions(base, full, candidates, 0)
+@lru_cache(maxsize=None)
+def _complete(n: int) -> tuple[int, ...]:
+    """Adjacency bitmasks of the complete graph K_n, where the root and
+    every removal trace start their reduction.  Cached, since every trace
+    over one base starts from the same rows; callers copy it to a list."""
+    return tuple(((1 << n) - 1) & ~(1 << v) for v in range(n))
 
 
 def _require_chordal(f: Completion, op: str) -> list[int]:
@@ -228,7 +243,7 @@ def _require_minimal(f: Completion, op: str) -> list[int]:
     """``_require_chordal``, and also checked minimal: the kernel finds no
     removable fill edge, so it leaves the adjacency as built."""
     masks = _require_chordal(f, op)
-    if next(_deletions(f.base, masks, f.mask), None) is not None:
+    if _reduce(f.base, masks, f.mask, stop=-1)[0] != f.mask:
         raise ValueError(f"{op} requires a minimal chordal completion")
     return masks
 
@@ -257,7 +272,7 @@ def removable_edges(f: Completion,
     ne = non_edges(f.base)
     return frozenset(
         ne[i] for i in _iter_bits(_allowed_mask(f, allowed))
-        if next(_deletions(f.base, list(masks), 1 << i), None) is not None)
+        if not _reduce(f.base, list(masks), 1 << i, stop=-1)[0])
 
 
 def prune(f: Completion,
@@ -268,19 +283,17 @@ def prune(f: Completion,
     With ``allowed=None`` the result is a minimal chordal completion
     contained in ``f``.
     """
-    masks = _require_chordal(f, "prune")
-    mask = f.mask
-    for i in _deletions(f.base, masks, _allowed_mask(f, allowed)):
-        mask ^= 1 << i
-    return Completion(f.base, mask)
+    allowed_mask = _allowed_mask(f, allowed)
+    rest = _reduce(f.base, _require_chordal(f, "prune"), allowed_mask)[0]
+    return Completion(f.base, f.mask ^ allowed_mask ^ rest)
 
 
 def is_minimal(f: Completion) -> bool:
     """Whether the chordal completion ``f`` is minimal (no fill edge can be
     dropped without breaking chordality); raises ``ValueError`` when ``f``
     is not chordal."""
-    kernel = _deletions(f.base, _require_chordal(f, "is_minimal"), f.mask)
-    return next(kernel, None) is None
+    masks = _require_chordal(f, "is_minimal")
+    return _reduce(f.base, masks, f.mask, stop=-1)[0] == f.mask
 
 
 class RemovalTrace:
@@ -288,7 +301,10 @@ class RemovalTrace:
 
     Starting from the full completion, the trace repeatedly deletes the
     smallest-index removable non-fill edge.  Proximity queries usually need
-    only a prefix of it, so elements are computed one at a time and cached.
+    only a prefix of it, so the trace keeps the kernel's state and resumes
+    it only as far as a query reads: ``prefix_against`` runs it in one call
+    to the first element inside the fill it is given (its fill hit), and
+    ``element`` to the position asked for.
     Assumes the underlying completion is minimal (the trace drains the whole
     complement for any chordal completion, minimal or not, so callers that
     cannot guarantee minimality must check it separately).  The trace of a
@@ -299,14 +315,17 @@ class RemovalTrace:
     prefix: a trace of its own whose proximity is ``min(proximity, n)``,
     which has no element at position n or later, and which shares the
     elements computed so far (and computed from now on) with ``trace``; it
-    never computes an element past its end.
+    never computes an element past its end, as it resumes the kernel one
+    deletion at a time while the kernel could run past that end.
     """
 
-    __slots__ = ("_deletions", "_seq", "_stop")
+    __slots__ = ("_run", "_seq", "_stop")
 
     def __init__(self, f: Completion) -> None:
         rest = (1 << len(non_edges(f.base))) - 1 & ~f.mask
-        self._deletions = _from_complete(f.base, rest)
+        # The kernel's arguments: base, adjacency, candidates, cover and
+        # stuck pairs.  K_n misses no edge, so the empty set covers them.
+        self._run = [f.base, list(_complete(f.base.n)), rest, 0, 0]
         self._seq: list[int] = []
         self._stop = rest.bit_count()
 
@@ -317,7 +336,7 @@ class RemovalTrace:
         if start or step != 1:
             raise TypeError("a removal trace slices only as trace[:n]")
         view = RemovalTrace.__new__(RemovalTrace)
-        view._deletions = self._deletions
+        view._run = self._run
         view._seq = self._seq
         view._stop = stop
         return view
@@ -325,41 +344,51 @@ class RemovalTrace:
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the
         end."""
+        if pos < 0:
+            raise IndexError(f"removal trace position {pos} is negative")
         seq = self._seq
         while len(seq) <= pos < self._stop:
-            self._extend()
+            self._pull(-1)
         return seq[pos] if pos < self._stop else None
 
     def prefix_against(self, fill_mask: int, start: int = 0) -> int:
         """Position of the first trace element inside ``fill_mask`` at or
         after ``start``, or the trace length if none is.  Positions before
         ``start`` are assumed already checked."""
+        if start < 0:
+            raise IndexError(f"removal trace position {start} is negative")
         seq = self._seq
-        stop = self._stop
         i = start
-        while i < stop:
-            if i < len(seq):
+        while True:
+            end = min(len(seq), self._stop)
+            while i < end:
                 if fill_mask >> seq[i] & 1:
                     return i
                 i += 1
-            else:
-                self._extend()
-                stop = self._stop
-        return stop
+            if i >= self._stop:
+                return self._stop
+            self._pull(fill_mask)
+            # Of the elements the pull added, only the last can lie inside
+            # fill_mask.
+            i = max(i, len(seq) - 1)
 
-    def _extend(self) -> None:
-        i = next(self._deletions, None)
-        if i is None:
-            # The reduction stalls short of the complement of a completion
-            # that is not chordal: its trace ends at the elements so far.
-            self._stop = len(self._seq)
-        else:
-            self._seq.append(i)
+    def _pull(self, stop: int) -> None:
+        """Resume the kernel until it deletes an index in ``stop``, or, in a
+        view that ends before the reduction can, for one deletion.  When the
+        reduction ends instead, so does the trace: at the complement, or
+        short of it for a completion that is not chordal."""
+        run, seq = self._run, self._seq
+        before = len(seq)
+        if before + run[2].bit_count() > self._stop:
+            stop = -1
+        run[2:] = _reduce(*run, stop=stop, out=seq)
+        if len(seq) == before or not stop >> seq[-1] & 1:
+            self._stop = len(seq)
 
     def force(self) -> tuple[int, ...]:
         seq = self._seq
         while len(seq) < self._stop:
-            self._extend()
+            self._pull(0)
         return tuple(seq[:self._stop])
 
 
@@ -426,9 +455,7 @@ def _successor_mask(base: Graph, mask: int, i: int, masks: list[int]) -> int:
     after the flip.
     """
     mask, near = _flip(base, masks, mask, i)
-    for j in _deletions(base, masks, mask, stuck=mask & ~near):
-        mask ^= 1 << j
-    return mask
+    return _reduce(base, masks, mask, stuck=mask & ~near)[0]
 
 
 def successor(f: Completion, e: Edge) -> Completion:
@@ -442,7 +469,6 @@ def successor(f: Completion, e: Edge) -> Completion:
 def minimal_completion_root(g: Graph) -> Completion:
     """The canonical starting solution: greedy reduction of the full
     completion.  Every enumeration of minimal completions is rooted here."""
-    mask = (1 << len(non_edges(g))) - 1
-    for i in _from_complete(g, mask):
-        mask ^= 1 << i
-    return Completion(g, mask)
+    # K_n misses no edge, so the empty set covers them.
+    return Completion(g, _reduce(g, list(_complete(g.n)),
+                                 (1 << len(non_edges(g))) - 1, cover=0)[0])

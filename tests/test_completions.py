@@ -7,6 +7,7 @@ import random
 import pytest
 
 import chordalenum.completions
+from chordalenum.completions import RemovalTrace
 import helpers
 from chordalenum import (Completion, Graph, GraphInputError,
                          chordal_completion_system, flip, is_chordal,
@@ -377,3 +378,117 @@ def test_kernel_matches_greedy_retest_reference():
             assert set(successor(reduced, e).fill_edges) == expected, (f, e)
         assert removal_order(reduced) == tuple(helpers.greedy_reduce_by_retest(
             g, non_edges(g), reduced.complement_edges)), f
+
+
+def test_kernel_stopped_and_resumed_deletes_as_one_drain():
+    """The greedy-deletion kernel, stopped at random stop masks and resumed
+    from the state it returns, deletes what one drain deletes, in the same
+    order; both equal the networkx re-test reference.  Runs start from a
+    filled chordal completion (the cover holds every vertex) and from K_n
+    (the empty cover), as the successor and the traces do."""
+    rng = random.Random(317811)
+    reduce = chordalenum.completions._reduce
+    stops = resumed = 0
+    for _ in range(300):
+        f = _random_chordal_completion(rng, rng.randint(3, 10))
+        g = f.base
+        ne = non_edges(g)
+        every = (1 << len(ne)) - 1
+        if rng.random() < 0.5:
+            start, cover, fill = f.mask, -1, f.fill_edges
+            rows = chordalenum.completions._filled_masks(g, f.mask)
+        else:
+            start, cover, fill = every, 0, ne
+            rows = chordalenum.completions._complete(g.n)
+        candidates = start & rng.choice((-1, rng.getrandbits(len(ne))))
+        drained = []
+        rest = reduce(g, list(rows), candidates, cover, out=drained)[0]
+        assert [ne[i] for i in drained] == helpers.greedy_reduce_by_retest(
+            g, fill, [ne[i] for i in range(len(ne)) if candidates >> i & 1])
+        assert rest == candidates & ~sum(1 << i for i in drained)
+        masks = list(rows)
+        state = (candidates, cover, 0)
+        pieces: list[int] = []
+        while True:
+            stop = rng.choice((-1, 0, rng.getrandbits(len(ne))))
+            before = len(pieces)
+            state = reduce(g, masks, *state, stop=stop, out=pieces)
+            added = pieces[before:]
+            assert not any(stop >> i & 1 for i in added[:-1])
+            if not added or not stop >> added[-1] & 1:
+                break
+            stops += 1
+        assert pieces == drained and state[0] == rest
+        # Stalled, the kernel returns at once, deleting nothing.
+        assert reduce(g, masks, *state, out=pieces) == state
+        assert pieces == drained
+        resumed += len(drained) > 1
+    assert stops > 200 and resumed > 100
+
+
+def test_trace_pulled_in_random_pieces_matches_one_force():
+    """A removal trace pulled in random pieces, by ``prefix_against`` from
+    random starts against random fills, by ``element`` and through views,
+    computes the elements one ``force`` does.  A pull that finds its fill
+    hit stops there.  The completions are minimal, chordal but not minimal,
+    or not chordal: the last trace ends where the reduction stalls, which
+    the networkx re-test reference also does."""
+    rng = random.Random(514229)
+    hits = 0
+    for _ in range(200):
+        g = helpers.random_graph_at_most(rng, rng.randint(3, 9), 12)
+        ne = non_edges(g)
+        sols = list(visited_set_search(chordal_completion_system(g)))
+        f = rng.choice(sols + [Completion(g, rng.getrandbits(len(ne)))])
+        full = RemovalTrace(f).force()
+        assert [ne[i] for i in full] == helpers.greedy_reduce_by_retest(
+            g, ne, f.complement_edges)
+        if f in sols:
+            assert tuple(ne[i] for i in full) == removal_order(f)
+        trace = RemovalTrace(f)
+        for _ in range(rng.randint(1, 8)):
+            known = len(trace._seq)
+            n = rng.randint(0, len(full) + 1)
+            token = trace[:n] if rng.random() < 0.3 else trace
+            end = min(n, len(full)) if token is not trace else len(full)
+            if rng.random() < 0.6:
+                fill = rng.choice([s.mask for s in sols]
+                                  + [rng.getrandbits(len(ne))])
+                start = rng.randint(0, end)
+                i = token.prefix_against(fill, start)
+                assert i == next((p for p in range(start, end)
+                                  if fill >> full[p] & 1), end)
+                if known <= i < end:
+                    assert len(trace._seq) == i + 1
+                    hits += 1
+            else:
+                pos = rng.randint(0, len(full) + 1)
+                assert token.element(pos) == (full[pos] if pos < end
+                                              else None)
+                if pos < end:
+                    assert len(trace._seq) == max(known, pos + 1)
+            assert len(trace._seq) <= max(known, end)
+            assert trace._seq == list(full[:len(trace._seq)])
+        assert trace.force() == full
+    assert hits > 50
+
+
+def test_negative_trace_positions_raise_index_error():
+    # A negative position must not read the trace from the end of the
+    # elements computed so far: C6's root trace is (0, 1, 2, 3, 4, 6), and
+    # after element(3) the list so far ends at 3, not at the trace's 6.
+    # The trace is fresh, or holds its first four elements.
+    c6 = helpers.cycle_graph(6)
+    root = minimal_completion_root(c6)
+    for computed in (0, 4):
+        trace = RemovalTrace(root)
+        if computed:
+            assert trace.element(computed - 1) == 3
+        for call in (trace.element, trace[:3].element,
+                     lambda p: trace.prefix_against(root.mask, p)):
+            for pos in (-1, -2):
+                with pytest.raises(IndexError, match=rf"^removal trace "
+                                                     rf"position {pos} is "
+                                                     r"negative$"):
+                    call(pos)
+        assert trace.force() == (0, 1, 2, 3, 4, 6)
