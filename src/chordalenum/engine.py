@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .completions import (Completion, RemovalTrace, _filled_masks,
                           _successor_mask, minimal_completion_root)
-from .graph import Graph, _iter_bits, non_edges
+from .graph import Graph, non_edges
 
 
 class ProximitySearchError(RuntimeError):
@@ -397,37 +397,31 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     keyed by fill mask, those of the two other masks used last.  A scan
     flips one node's fill edges in turn, walks restart at the root, and the
     kernel ends holding its result's adjacency, which is the next probe of a
-    walk.  At an entry's second use the store adds the list of its mask's
-    fill indices, so that a scan reads position j's fill edge instead of
-    walking j bits; a walk probe uses its entry once.  Entries only ever
-    gain that list, so traversals interleaved over one system get the same
-    answers.
+    walk.  Entries are never edited, so traversals interleaved over one
+    system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    # Entries are [adjacency, fill indices], least recently used first; the
-    # indices are None before the entry's first use and [] until its second.
-    recent = {root.mask: [tuple(_filled_masks(g, root.mask)), None]}
+    root_adj = tuple(_filled_masks(g, root.mask))
+    recent: dict[int, tuple[int, ...]] = {}  # least recently used first
 
-    def fill_index(entry: list, mask: int, j: int) -> int:
-        idx = entry[1]
-        if idx is None:
-            entry[1] = []
-            return _fill_index_at(mask, j)
-        if not idx:
-            idx.extend(_iter_bits(mask))
-        return idx[j] if 0 <= j < len(idx) else _fill_index_at(mask, j)
+    def successor_mask(mask: int, i: int) -> int:
+        if mask == root.mask:
+            adj = root_adj
+        else:
+            adj = recent.pop(mask, None) or tuple(_filled_masks(g, mask))
+            recent[mask] = adj
+        masks = list(adj)
+        result = _successor_mask(g, mask, i, masks)
+        if result != root.mask:
+            recent.pop(result, None)
+            recent[result] = tuple(masks)
+        while len(recent) > 2:
+            del recent[next(iter(recent))]
+        return result
 
     def neighbor_at(f: Completion, j: int) -> Completion:
-        mask = f.mask
-        entry = recent.pop(mask, None) or [tuple(_filled_masks(g, mask)), None]
-        recent[mask] = entry
-        masks = list(entry[0])
-        result = _successor_mask(g, mask, fill_index(entry, mask, j), masks)
-        recent[result] = recent.pop(result, None) or [tuple(masks), None]
-        while len(recent) > 3:
-            del recent[next(m for m in recent if m != root.mask)]
-        return Completion(g, result)
+        return Completion(g, successor_mask(f.mask, _fill_index_at(f.mask, j)))
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:
         return order.prefix_against(f.mask, start)
@@ -451,10 +445,8 @@ def chordal_completion_system(g: Graph) -> SetSystem:
 
     def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
         # A flip by edge e never re-adds e, so a candidate containing the
-        # edge at position j cannot have come from it.  The store is read,
-        # never added to: no adjacency is built here.
-        entry = recent.get(f.mask) or [None, None]
-        return bool(cand.mask >> fill_index(entry, f.mask, j) & 1)
+        # edge at position j cannot have come from it.
+        return bool(cand.mask >> _fill_index_at(f.mask, j) & 1)
 
     return SetSystem(root=root, neighbor_count=Completion.size,
                      neighbor_at=neighbor_at, ordering=RemovalTrace,

@@ -598,60 +598,3 @@ def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
         assert built == [system.root.mask]
         assert sum(1 for _ in search(system)) == solutions
         assert len(built) - 1 == builds <= solutions
-
-
-def test_stored_fill_indices_give_the_bit_walk_answers():
-    # From an entry's second use, the chordal system reads position j's
-    # fill edge from a list stored with the entry.  neighbor_at and
-    # position_excludes must answer as the bit walk _fill_index_at does at
-    # every position, and raise out of range, on scans interleaved with
-    # walks from the root and with calls to a second system.
-    walk = chordalenum.engine._fill_index_at
-    rng = random.Random(832040)
-
-    def reference(f, j):
-        g = f.base
-        return Completion(g, chordalenum.completions._successor_mask(
-            g, f.mask, walk(f.mask, j),
-            chordalenum.completions._filled_masks(g, f.mask)))
-
-    def check(system, f, j, cand):
-        assert system.neighbor_at(f, j) == reference(f, j)
-        for k in range(system.neighbor_count(f)):
-            assert system.position_excludes(f, k, cand) == \
-                bool(cand.mask >> walk(f.mask, k) & 1)
-    scans = 0
-    for _ in range(150):
-        g = helpers.random_graph_at_most(rng, rng.randint(4, 10), 14)
-        system = chordal_completion_system(g)
-        sols = list(visited_set_search(chordal_completion_system(g)))
-        h = helpers.random_graph_at_most(rng, rng.randint(4, 10), 14)
-        other = chordal_completion_system(h)
-        other_sols = list(visited_set_search(chordal_completion_system(h)))
-        for _ in range(3):
-            f, cand, target = (rng.choice(sols) for _ in range(3))
-            count = system.neighbor_count(f)
-            for j in range(count):
-                check(system, f, j, cand)
-                if rng.random() < 0.3:
-                    order = system.ordering(target)
-                    probe, i = system.root, -1
-                    while probe != target and rng.random() < 0.8:
-                        i = system.proximity(probe, order, i + 1)
-                        k = system.step_position(probe, order, i)
-                        step = system.neighbor_at(probe, k)
-                        assert step == reference(probe, k)
-                        probe = step
-                if rng.random() < 0.3:
-                    x = rng.choice(other_sols)
-                    if other.neighbor_count(x):
-                        check(other, x, rng.randrange(other.neighbor_count(x)),
-                              rng.choice(other_sols))
-            for j in (count, count + 3, -1):
-                for call in (lambda: system.neighbor_at(f, j),
-                             lambda: system.position_excludes(f, j, cand)):
-                    with pytest.raises(IndexError, match=rf"^neighbor "
-                                                         rf"position {j} "):
-                        call()
-            scans += count > 1
-    assert scans > 100

@@ -3,16 +3,17 @@
 Usage::
 
     python3 tools/ab.py A B --workload cubic14_rs|cubic14_vs|verify_small
-        [--inputs N] [--limit L] [--seed S]
+        [--inputs N]
 
 A and B are git revisions of this repository or paths to checkouts.  Each
 one's ``src/chordalenum`` is copied to a temporary directory (with
 ``git archive`` for a revision) and imported under its own package name,
 so both run in this one interpreter on the same heap and host state.  The
-inputs are the workload's, made by ``perfbench/workloads.py`` (imported,
-never edited).  Each input runs twice per version, as A B B A on even
-inputs and B A A B on odd ones, so that a drift of the host's speed over
-the four runs cancels; a garbage collection precedes each run.
+inputs are the workload's seed-0 inputs, made by
+``perfbench/workloads.py`` (imported, never edited).  Each input runs
+twice per version, as A B B A on even inputs and B A A B on odd ones, so
+that a drift of the host's speed over the four runs cancels; a garbage
+collection precedes each run.
 
 For every input it compares the digests of what the two versions emitted
 and takes the ratio of B's CPU time to A's, each summed over its two runs.
@@ -20,10 +21,13 @@ It prints the median, the quartiles and the total (B's summed time over
 A's) of those ratios.  It exits 1 if any digest differs.  Standard library
 and git only.
 
-``--limit`` cuts each enumeration to a prefix of its solutions:
-``cubic14_rs`` defaults to the benchmark's 250, ``cubic14_vs`` to 2,000 of
-its 17,697.  An A/A run (the same revision twice) shows the noise: a small
-number of inputs can read a few percent away from 1.
+``cubic14_rs`` enumerates the benchmark's prefix of each input
+(``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
+``VS_PREFIX`` solutions of 17,697.  ``--inputs`` sets how many inputs run.
+An A/A run (the same revision twice) shows the noise: a small number of
+inputs can read a few percent away from 1.  The ``filter`` argument of
+``tarfile`` extraction is used where this Python has it (3.10.12, 3.11.4
+and later).
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "chordalenum"
-DEFAULTS = {"cubic14_rs": (40, 250), "cubic14_vs": (12, 2000),
-            "verify_small": (2000, None)}
+INPUTS = {"cubic14_rs": 40, "cubic14_vs": 12, "verify_small": 2000}
+VS_PREFIX = 2000  # cubic14_vs solutions enumerated per input
 
 
 def extract(version: str, into: Path) -> Path:
@@ -65,7 +69,10 @@ def extract(version: str, into: Path) -> Path:
         raise SystemExit(f"ab: {version!r} is neither a checkout nor a "
                          f"revision: {archive.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(into / "tree", filter="data")
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into / "tree", filter="data")
+        else:
+            tar.extractall(into / "tree")
     (into / "tree" / PACKAGE).rename(target)
     return target
 
@@ -82,10 +89,10 @@ def load(directory: Path, name: str):
     return package
 
 
-def workload_inputs(package, workload: str, seed: int, count: int) -> list:
-    """The first ``count`` inputs of ``workload`` at ``seed``, made by
-    ``perfbench/workloads.py``, which imports ``chordalenum``: ``package``
-    stands in for it while the module loads."""
+def workload_inputs(package, workload: str, count: int) -> tuple[list, int]:
+    """The first ``count`` seed-0 inputs of ``workload`` and its solution
+    prefix per input, from ``perfbench/workloads.py``, which imports
+    ``chordalenum``: ``package`` stands in for it while the module loads."""
     saved = {k: sys.modules.get(k) for k in ("chordalenum", "chordalenum.cli")}
     sys.modules["chordalenum"] = package
     sys.modules["chordalenum.cli"] = package.cli
@@ -100,7 +107,8 @@ def workload_inputs(package, workload: str, seed: int, count: int) -> list:
             else:
                 sys.modules[key] = module
     w = workloads.WORKLOADS[workload]
-    return [w.make_input(seed, index) for index in range(count)]
+    limit = VS_PREFIX if workload == "cubic14_vs" else w.limit
+    return [w.make_input(0, index) for index in range(count)], limit
 
 
 def run_one(package, workload: str, inp, limit) -> tuple[float, str]:
@@ -130,19 +138,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("a", help="git revision or checkout path")
     parser.add_argument("b", help="git revision or checkout path")
-    parser.add_argument("--workload", required=True, choices=sorted(DEFAULTS))
+    parser.add_argument("--workload", required=True, choices=sorted(INPUTS))
     parser.add_argument("--inputs", type=int, default=None)
-    parser.add_argument("--limit", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    count, limit = DEFAULTS[args.workload]
-    count = args.inputs if args.inputs is not None else count
-    limit = args.limit if args.limit is not None else limit
+    count = args.inputs if args.inputs is not None else INPUTS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         packages = [load(extract(version, Path(tmp) / side),
                          f"chordalenum_ab_{side}")
                     for version, side in ((args.a, "a"), (args.b, "b"))]
-        inputs = workload_inputs(packages[0], args.workload, args.seed, count)
+        inputs, limit = workload_inputs(packages[0], args.workload, count)
         ratios, totals, differ = [], [0.0, 0.0], 0
         for index, inp in enumerate(inputs):
             times, digests = [0.0, 0.0], [set(), set()]
@@ -162,7 +166,7 @@ def main(argv=None) -> int:
             ratios.append(tb / ta)
     q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 \
         else ratios * 3
-    print(f"{args.workload} seed {args.seed}: {len(inputs)} inputs, "
+    print(f"{args.workload} seed 0: {len(inputs)} inputs, "
           f"limit {limit}; A {args.a}, B {args.b}")
     print(f"digests: {'identical' if not differ else f'{differ} differ'}")
     print(f"CPU s: A {totals[0]:.2f}, B {totals[1]:.2f}")
