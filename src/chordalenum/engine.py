@@ -24,13 +24,20 @@ it has no element at position n or later.  The parent check toward a
 candidate child needs no more: its walk only steps from proximities below
 ``i_f``, the scanning node's, and stops on reaching ``i_f``, so it reads
 ``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
+
+Where the system has a ``step_position``, ``reverse_search`` also keeps a
+path record of its current node: per step of the node's canonical path
+from the root, the ordering element the step flips and a bitmask of
+elements outside that probe's set, O(depth) ints.  The child test follows
+it along the candidate's ordering (``_follow``) and walks from the root
+only when that leaves a step open.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .completions import (Completion, RemovalTrace, _filled_masks,
                           _successor_mask, minimal_completion_root)
@@ -74,6 +81,19 @@ class SetSystem:
     and ``step_position``, because it only steps from proximities below
     ``i_f`` and stops at ``i_f``.
 
+    With ``step_position`` the child test may decide from the scanning
+    node's path record instead of a walk (see ``_follow``), which takes
+    three properties of the system: ``proximity(f, order, start)`` is the
+    first position at or after ``start`` whose element lies in ``f``'s set
+    (the chordal system's fill), or the length; the step out of ``f`` at
+    proximity ``i`` reads the ordering only at position ``i`` (the chordal
+    step flips the fill edge ``order.element(i)``, at its rank in the
+    fill); and orderings give their elements as ints, read with
+    ``order.element(i)`` and used as bit positions.  The bitmasks also
+    rest on proximity search itself: as proximity strictly increases along
+    a canonical path, every element before a probe's proximity lies
+    outside that probe's set.
+
     The engine does not read ``next_step``.  The field stays only because
     ``perfbench/tracing.py`` wraps it; it goes when the tracer tags
     ``neighbor_at`` calls by call site instead (ROADMAP item 3).
@@ -101,16 +121,20 @@ class TraversalStats:
     counter.  ``peak_retained`` tracks the largest number of solutions the
     traversal held at once in its named slots (current node, candidate
     child, walk probe); the visited-set baseline counts its whole visited
-    set instead.  With ``record_gaps`` the per-emission deltas of the work
+    set instead.  ``record_verdicts`` counts the child tests that a path
+    record settled instead of a check walk, so ``check_walks +
+    record_verdicts`` is the number that reached the path test; a verdict
+    costs no successor call, so it is not a work counter, and ``as_dict``
+    leaves it out.  With ``record_gaps`` the per-emission deltas of the work
     counters are kept in ``gap_<counter>`` lists, which is what the
     delay-structure assertions read.
     """
 
-    __slots__ = ("solutions", *_COUNTERS, "peak_retained", "record_gaps",
-                 *("gap_" + c for c in _COUNTERS), "_last")
+    __slots__ = ("solutions", *_COUNTERS, "record_verdicts", "peak_retained",
+                 "record_gaps", *("gap_" + c for c in _COUNTERS), "_last")
 
     def __init__(self, record_gaps: bool = False) -> None:
-        self.solutions = self.peak_retained = 0
+        self.solutions = self.peak_retained = self.record_verdicts = 0
         for c in _COUNTERS:
             setattr(self, c, 0)
             setattr(self, "gap_" + c, [])
@@ -231,11 +255,54 @@ def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
     return j
 
 
+def _prefix_mask(order: Any, stop: int, start: int, mask: int) -> int:
+    """``mask`` with the ordering elements at positions ``start`` to
+    ``stop - 1`` set as bits."""
+    for p in range(start, stop):
+        mask |= 1 << order.element(p)
+    return mask
+
+
+def _follow(record: list, order: Any, i_f: int) -> Union[list, bool, None]:
+    """Follow the path record of the scanning node f along ``order``, the
+    ordering of a candidate toward which f's proximity is ``i_f``.
+
+    The record is a path of steps from the root to f.  A step
+    ``(outside, s)`` leaves its probe by flipping element ``s``, and the
+    bits of ``outside`` lie outside the probe's set.  At each probe the root
+    walk toward the candidate scans ``order`` on from the position its last
+    step flipped (see ``SetSystem`` for what that takes): skipping bits of
+    ``outside`` and meeting ``s`` proves that it takes the same step;
+    reaching ``i_f`` first proves that it stops at that probe, short of f;
+    any other element leaves the step open.  Returns False when the walk
+    stops short, None when a step is open, and else the candidate's record:
+    the steps followed, each widened by the elements scanned before it
+    (they lie outside the probe's set, as the path is now the candidate's
+    canonical path), then f's own step.  Only positions up to ``i_f`` are
+    read, and those the proximity query toward f already computed.
+    """
+    steps, seen, pos = [], 0, 0
+    for outside, s in record:
+        while pos < i_f and (e := order.element(pos)) != s:
+            if not outside >> e & 1:
+                return None
+            seen |= 1 << e
+            pos += 1
+        if pos == i_f:
+            return False
+        steps.append((outside | seen, s))
+        seen |= 1 << s
+        pos += 1
+    steps.append((_prefix_mask(order, i_f, pos, seen), order.element(i_f)))
+    return steps
+
+
 def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
-              stats: TraversalStats) -> Optional[Sequence]:
-    """The ordering of ``cand`` if ``cand``, produced from ``f`` at
-    neighbor position ``j``, is a child of ``f`` in the arborescence owned by
-    that position, else None.
+              stats: TraversalStats, record: Optional[list]
+              ) -> Optional[tuple[Sequence, Optional[list]]]:
+    """The ordering and the path record of ``cand`` if ``cand``, produced
+    from ``f`` at neighbor position ``j``, is a child of ``f`` in the
+    arborescence owned by that position, else None.
 
     ``f`` is the parent iff the canonical step out of ``f`` toward ``cand``
     lands on ``cand`` and ``f`` lies on the canonical path; position ``j``
@@ -243,13 +310,17 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
     position ``k``: below ``j`` it either misses ``cand`` or produces it
     earlier, so the answer is no; at ``j`` it lands by construction; above
     ``j`` one neighbor evaluation settles it.  Only a landing step pays for
-    the first-occurrence scan and the check walk.
+    the first-occurrence scan and the path test.
 
-    The check walk stops on meeting ``f`` or on overtaking its proximity
-    ``i_f``, since proximity strictly increases along the path.  Every step
-    it takes starts below ``i_f``, so it reads only ``order[:i_f + 1]``: a
-    probe's proximity there is ``min(i, i_f + 1)``, which decides
-    ``i >= i_f`` the same way.
+    The path test follows ``record``, ``f``'s path record (see
+    ``_follow``), and walks from the root only when a step stays open or
+    ``f`` has no record.  The check walk stops on meeting ``f`` or on
+    overtaking its proximity ``i_f``, since proximity strictly increases
+    along the path.  Every step it takes starts below ``i_f``, so it reads
+    only ``order[:i_f + 1]``: a probe's proximity there is
+    ``min(i, i_f + 1)``, which decides ``i >= i_f`` the same way.  A child
+    found by the walk takes the walk's steps as its record; a system
+    without ``step_position`` gets no records.
     """
     order = system.ordering(cand)
     stats.orderings += 1
@@ -264,35 +335,47 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
             return None
     if _first_position(system, f, cand, j, stats) < j:
         return None
+    if record is not None:
+        steps = _follow(record, order, i_f)
+        if steps is not None:
+            stats.record_verdicts += 1
+            return (order, steps) if steps else None
     stats.check_walks += 1
     stats.note_retained(3)
+    recorded = system.step_position is not None
+    steps, seen, pos = [], 0, 0
     for probe, i, _ in _path(system, system.root, cand, order[:i_f + 1],
                              stats):
-        if probe == f:
-            return order
-        if i is None or i >= i_f:
+        if probe != f and (i is None or i >= i_f):
             return None
+        if recorded:
+            seen, pos = _prefix_mask(order, i, pos, seen), i
+            steps.append((seen, order.element(i)))
+        if probe == f:
+            return order, steps if recorded else None
 
 
-def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats
-              ) -> Iterator[tuple[int, Any, Sequence]]:
+def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
+              record: Optional[list] = None
+              ) -> Iterator[tuple[int, Any, Sequence, Optional[list]]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
-    order, each as its position, the child and the child's ordering.  The
-    root is never anyone's child."""
+    order, each as its position, the child, the child's ordering and its
+    path record, given ``f``'s ``record`` (see ``_is_child``).  The root is
+    never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
         stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
         stats.note_retained(2)
         if cand != system.root and cand != f:
-            order = _is_child(system, f, cand, j, stats)
-            if order is not None:
-                yield j, cand, order
+            found = _is_child(system, f, cand, j, stats, record)
+            if found is not None:
+                yield (j, cand, *found)
 
 
 def children(system: SetSystem, f: Any) -> list:
     """The children of ``f`` in the arborescence, in scan order; a child
     appears once, at the smallest neighbor position producing it."""
-    return [c for _, c, _ in _children(system, f, 0, TraversalStats())]
+    return [c for _, c, _, _ in _children(system, f, 0, TraversalStats())]
 
 
 def reverse_search(system: SetSystem,
@@ -308,22 +391,30 @@ def reverse_search(system: SetSystem,
     used to recompute parents.
 
     The traversal's whole state is the current node, its depth parity, the
-    neighbor position its scan resumes at, and its ordering when the child
-    test that descended to it built one (the backtrack out of it reuses it).
-    Each step takes one child from a fresh scan and drops the scan: a scan
-    held per level would be a stack of solutions.
+    neighbor position its scan resumes at, its ordering when the child
+    test that descended to it built one (the backtrack out of it reuses it),
+    and its path record when the system has a ``step_position``: per step of
+    its canonical path from the root, the ordering element the step flips
+    and a bitmask of elements outside that probe's fill, O(depth) ints in
+    all (see ``_follow``).  The child test follows the record before it
+    walks.  The root's record is empty, and a descent gives the child its
+    record; after a backtrack the parent has none until the next descent,
+    and its child tests walk.  Each step takes one child from a fresh scan
+    and drops the scan: a scan held per level would be a stack of
+    solutions.
     """
     if stats is None:
         stats = TraversalStats()
     current, odd, j, order = system.root, False, 0, None
+    record = None if system.step_position is None else []
     stats.note_retained(1)
     stats.note_emission()
     yield current
 
     while True:
-        found = next(_children(system, current, j, stats), None)
+        found = next(_children(system, current, j, stats, record), None)
         if found is not None:
-            _, current, order = found
+            _, current, order, record = found
             odd, j = not odd, 0
             if not odd:
                 stats.note_emission()
@@ -346,7 +437,7 @@ def reverse_search(system: SetSystem,
         # The walk's last step produced the node, so the owner is at most
         # that step's position.
         j = _first_position(system, up, current, last, stats) + 1
-        current, odd, order = up, not odd, None
+        current, odd, order, record = up, not odd, None, None
         stats.note_retained(1)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from chordalenum import (Completion, Graph, ProximitySearchError, SetSystem,
                          canonical_path, children, chordal_completion_system,
                          next_toward, parent, proximity, removal_order,
                          reverse_search, successor, visited_set_search)
+from test_acceptance import BIG_INSTANCE_EDGES
 
 
 def _c5_system():
@@ -472,21 +474,25 @@ def test_backtrack_reuses_the_ordering_the_child_test_built():
 
 def test_reverse_search_work_counters_are_frozen():
     # The per-layer benchmark metrics read these counters; a change that
-    # alters the traversal's work on purpose updates them.
+    # alters the traversal's work on purpose updates them.  Every child test
+    # that reaches the path test is settled by a check walk or by the
+    # scanning node's path record; the generic system has no records.
     cases = [
         (chordal_completion_system(helpers.cycle_graph(7)),
-         (42, 168, 191, 164, 41, 225, 3)),
+         (42, 168, 191, 22, 41, 137, 3), 164),
         (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)),
-         (21, 240, 217, 65, 20, 62, 3)),
-        (helpers.subset_swap_system(6, 3), (20, 791, 176, 81, 19, 63, 3)),
+         (21, 240, 217, 10, 20, 46, 3), 65),
+        (helpers.subset_swap_system(6, 3), (20, 791, 176, 81, 19, 63, 3),
+         81),
     ]
     names = ("solutions", "neighbor_evals", "orderings", "check_walks",
              "backtrack_walks", "walk_steps", "peak_retained")
-    for system, frozen in cases:
+    for system, frozen, path_tests in cases:
         stats = TraversalStats()
         for _ in reverse_search(system, stats):
             pass
         assert stats.as_dict() == dict(zip(names, frozen))
+        assert stats.check_walks + stats.record_verdicts == path_tests
 
 
 def test_every_step_is_neighbor_at_at_the_step_position():
@@ -495,8 +501,8 @@ def test_every_step_is_neighbor_at_at_the_step_position():
     # calls the next_step field.
     def no_next_step(*args):
         raise AssertionError("the engine called next_step")
-    cases = [(helpers.cycle_graph(7), 168 + 225),
-             (Graph(11, OWNER_BELOW_STEP_EDGES), 240 + 62)]
+    cases = [(helpers.cycle_graph(7), 168 + 137),
+             (Graph(11, OWNER_BELOW_STEP_EDGES), 240 + 46)]
     for g, frozen in cases:
         system = dataclasses.replace(chordal_completion_system(g),
                                      next_step=no_next_step)
@@ -582,14 +588,14 @@ def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
     # Set-up builds one, the root's adjacency (the root itself is reduced
     # from K_n, which needs no build); after that the stored adjacencies
     # leave at most one build per solution, against one per successor call
-    # without them (393 successor calls on C7 with reverse search, 168 with
+    # without them (305 successor calls on C7 with reverse search, 168 with
     # the visited set).
     built = _count_builds(monkeypatch, chordalenum.completions,
                           chordalenum.engine)
     cases = [
-        (helpers.cycle_graph(7), reverse_search, 42, 38),
+        (helpers.cycle_graph(7), reverse_search, 42, 5),
         (helpers.cycle_graph(7), visited_set_search, 42, 41),
-        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 7),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 1),
         (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 19),
     ]
     for g, search, solutions, builds in cases:
@@ -598,3 +604,90 @@ def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
         assert built == [system.root.mask]
         assert sum(1 for _ in search(system)) == solutions
         assert len(built) - 1 == builds <= solutions
+
+
+def _relabelled_cubic14(seed: int) -> Graph:
+    perm = list(range(14))
+    random.Random(seed).shuffle(perm)
+    return Graph(14, [(perm[u], perm[v]) for u, v in BIG_INSTANCE_EDGES])
+
+
+def _assert_canonical_record(system: SetSystem, cand, order, record):
+    # Step t of the canonical path to cand flips the ordering element at
+    # its probe's proximity; its bitmask holds every element before that
+    # position and none of the probe's fill.
+    path = canonical_path(system, cand)
+    assert len(record) == len(path) - 1
+    for probe, (outside, s) in zip(path, record):
+        i = system.proximity(probe, order, 0)
+        prefix = sum(1 << order.element(p) for p in range(i))
+        assert s == order.element(i)
+        assert outside & prefix == prefix and not outside & probe.mask
+
+
+def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
+    # A child test that the scanning node's path record settles gets the
+    # verdict of the walk from the root; every child the traversal descends
+    # to carries the record of its canonical path; and the emissions are
+    # those of a traversal whose child tests always walk.
+    real = chordalenum.engine._is_child
+    outcomes = collections.Counter()
+
+    def checked(system, f, cand, j, stats, record):
+        verdicts, walks = stats.record_verdicts, stats.check_walks
+        found = real(system, f, cand, j, stats, record)
+        if stats.record_verdicts > verdicts:
+            walked = real(system, f, cand, j, TraversalStats(), None)
+            assert (found is None) == (walked is None)
+            outcomes["child" if found else "not a child"] += 1
+        elif record is not None and stats.check_walks > walks:
+            outcomes["open"] += 1
+        if found is not None:
+            _assert_canonical_record(system, cand, *found)
+        return found
+
+    def walking(system, f, cand, j, stats, record):
+        return real(system, f, cand, j, stats, None)
+
+    rng = random.Random(196418)
+    graphs = [helpers.random_graph_at_most(rng, rng.randint(4, 11), 14)
+              for _ in range(30)]
+    for g, limit in [*((g, None) for g in graphs),
+                     (_relabelled_cubic14(0), 250),
+                     (_relabelled_cubic14(1), 250)]:
+        runs = []
+        for is_child in (checked, walking):
+            monkeypatch.setattr(chordalenum.engine, "_is_child", is_child)
+            search = reverse_search(chordal_completion_system(g))
+            runs.append([f.mask for _, f in zip(range(limit or 10**9),
+                                                search)])
+        assert runs[0] == runs[1]
+    assert min(outcomes[k] for k in ("child", "not a child", "open")) > 0
+
+
+# networkx.random_regular_graph(3, 40, seed=40): 720 non-edges.
+CUBIC40_EDGES = [
+    (0, 5), (0, 14), (0, 30), (1, 27), (1, 32), (1, 37), (2, 9), (2, 25),
+    (2, 35), (3, 13), (3, 16), (3, 35), (4, 17), (4, 20), (4, 31), (5, 11),
+    (5, 36), (6, 7), (6, 13), (6, 39), (7, 19), (7, 28), (8, 21), (8, 24),
+    (8, 33), (9, 23), (9, 24), (10, 17), (10, 31), (10, 39), (11, 17),
+    (11, 28), (12, 24), (12, 26), (12, 33), (13, 30), (14, 16), (14, 36),
+    (15, 22), (15, 27), (15, 35), (16, 26), (18, 25), (18, 34), (18, 36),
+    (19, 29), (19, 37), (20, 32), (20, 39), (21, 23), (21, 29), (22, 34),
+    (22, 37), (23, 25), (26, 38), (27, 32), (28, 38), (29, 38), (30, 34),
+    (31, 33)]
+
+
+def test_walk_counts_at_forty_vertices_are_frozen():
+    # The benchmark's instances have 14 vertices; this guards the walk
+    # counts of the first 30 solutions of a 40-vertex cubic graph, where
+    # walks are longer: 5,615 steps and 942 check walks when every child
+    # test walked.  A change that alters them on purpose updates them.
+    stats = TraversalStats()
+    search = reverse_search(chordal_completion_system(Graph(40, CUBIC40_EDGES)),
+                            stats)
+    fills = [f.fill_edges for _, f in zip(range(30), search)]
+    digest = hashlib.sha256(repr(fills).encode()).hexdigest()[:16]
+    assert (stats.solutions, stats.walk_steps, stats.check_walks,
+            stats.record_verdicts) == (30, 2374, 69, 873)
+    assert digest == "072c727d1b13ce00"
