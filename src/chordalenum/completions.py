@@ -17,7 +17,7 @@ returned state and resumes it when asked for more.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graph import (Edge, Graph, GraphInputError, _iter_bits, _mcs_violation,
                     ground_index, non_edge_incidence, non_edges)
@@ -316,7 +316,8 @@ class RemovalTrace:
     which has no element at position n or later, and which shares the
     elements computed so far (and computed from now on) with ``trace``; it
     never computes an element past its end, as it resumes the kernel one
-    deletion at a time while the kernel could run past that end.
+    deletion at a time while the kernel could run past that end.  Iterating
+    a trace yields its elements from position 0 on, like a tuple.
     """
 
     __slots__ = ("_run", "_seq", "_stop")
@@ -340,6 +341,9 @@ class RemovalTrace:
         view._seq = self._seq
         view._stop = stop
         return view
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.force())
 
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the

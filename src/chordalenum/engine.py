@@ -7,7 +7,8 @@ a proximity measure says how far along that ordering another solution
 agrees, and a step position names the neighbor that moves strictly closer
 to any target.  The parent of a solution is the last stop before it on the
 canonical path from the root; children are recomputed on demand, so the
-traversal retains only a constant number of solutions at a time.
+traversal retains only a constant number of solutions at a time: the
+current node, the candidate child or a walk probe, and the held parent.
 
 The canonical walk is written once, in ``_path``: ``canonical_path``,
 ``next_toward``, ``parent``, the backtrack and the child test's check walk
@@ -19,29 +20,33 @@ Solutions must be hashable and comparable with ``==``.  Orderings are
 tuples of ground elements, or tokens that behave like them (the chordal
 instance's removal trace, which a proximity query grows in one call up to
 the first element inside the probe's fill).  A token cut like a tuple,
-``order[:n]``, is again a token: its proximity is ``min(proximity, n)`` and
-it has no element at position n or later.  The parent check toward a
-candidate child needs no more: its walk only steps from proximities below
-``i_f``, the scanning node's, and stops on reaching ``i_f``, so it reads
+``order[:n]``, is again a token: its proximity is ``min(proximity, n)``,
+it has no element at position n or later, and iterating it yields its
+elements like a tuple prefix.  The parent check toward a candidate child
+needs no more: its walk only steps from proximities below ``i_f``, the
+scanning node's, and stops on reaching ``i_f``, so it reads
 ``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
 
 Where the system has a ``step_position``, ``reverse_search`` also keeps a
 path record of its current node: per step of the node's canonical path
-from the root, the ordering element the step flips and a bitmask of
-elements outside that probe's set, O(depth) ints.  The child test follows
-it along the candidate's ordering (``_follow``) and walks from the root
-only when that leaves a step open.
+from the root, the ordering element the step flips, a bitmask of elements
+outside that probe's set, the step's neighbor position and whether the
+record up to that step is the canonical path of the probe it reaches,
+O(depth) ints.  The child test follows it along the candidate's ordering
+(``_follow``) and walks from the root only when that leaves a step open;
+a backtrack replays its positions (``_replay``), reading no ordering.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
+                    Union)
 
 from .completions import (Completion, RemovalTrace, _filled_masks,
                           _successor_mask, minimal_completion_root)
-from .graph import Graph, non_edges
+from .graph import Graph, _iter_bits, non_edges
 
 
 class ProximitySearchError(RuntimeError):
@@ -70,16 +75,19 @@ class SetSystem:
     generic fallback picks the first position of the ``solution_key``-smallest
     neighbor strictly closer to the target (it evaluates every neighbor per
     step, which the specialized position avoids).
-    ``position_excludes(f, j, cand)``, when given, may cheaply rule out
-    position j producing ``cand``; it is only an optimization and must never
-    rule out a position that does produce it.
+    ``producing_positions(f, cand, j)``, when given, returns in increasing
+    order the positions below ``j`` that may produce ``cand``; the owner
+    scan evaluates only those instead of every position below ``j``.  It is
+    only an optimization and must name every position below ``j`` that does
+    produce ``cand``.
 
     Tokens slice like tuple prefixes: ``order[:n]`` must be a token of the
-    same system whose proximity is ``min(proximity, n)`` and which has no
-    element at position n or later (tuples already are).  The check walk
-    toward a candidate child passes ``order[:i_f + 1]`` to ``proximity``
-    and ``step_position``, because it only steps from proximities below
-    ``i_f`` and stops at ``i_f``.
+    same system whose proximity is ``min(proximity, n)``, which has no
+    element at position n or later, and whose iteration yields its
+    elements from position 0 on and computes none past n (tuples already
+    are such tokens).  The check walk toward a candidate child passes
+    ``order[:i_f + 1]`` to ``proximity`` and ``step_position``, because it
+    only steps from proximities below ``i_f`` and stops at ``i_f``.
 
     With ``step_position`` the child test may decide from the scanning
     node's path record instead of a walk (see ``_follow``), which takes
@@ -88,15 +96,21 @@ class SetSystem:
     (the chordal system's fill), or the length; the step out of ``f`` at
     proximity ``i`` reads the ordering only at position ``i`` (the chordal
     step flips the fill edge ``order.element(i)``, at its rank in the
-    fill); and orderings give their elements as ints, read with
-    ``order.element(i)`` and used as bit positions.  The bitmasks also
+    fill); and orderings give their elements as ints, read by iterating
+    ``order[:i_f + 1]`` and used as bit positions.  The bitmasks also
     rest on proximity search itself: as proximity strictly increases along
     a canonical path, every element before a probe's proximity lies
-    outside that probe's set.
+    outside that probe's set.  A record entry is ``(outside, s, k,
+    canonical)``: the bitmask, the flipped element, the step's neighbor
+    position, and whether the entries up to this one are the canonical
+    path of the probe the step reaches.  Canonical paths are not closed
+    under prefixes, so a backtrack hands a parent its part of a child's
+    record only when that flag says so.
 
-    The engine does not read ``next_step``.  The field stays only because
-    ``perfbench/tracing.py`` wraps it; it goes when the tracer tags
-    ``neighbor_at`` calls by call site instead (ROADMAP item 3).
+    The engine reads neither ``next_step`` nor ``position_excludes``.  The
+    fields stay only because ``perfbench/tracing.py`` wraps them by name;
+    they go when the tracer tags ``neighbor_at`` calls by call site instead
+    (ROADMAP item 3).
     """
 
     root: Any
@@ -108,6 +122,8 @@ class SetSystem:
     next_step: Optional[Callable[[Any, Any, Any, int], Any]] = None
     position_excludes: Optional[Callable[[Any, int, Any], bool]] = None
     step_position: Optional[Callable[[Any, Any, int], int]] = None
+    producing_positions: Optional[
+        Callable[[Any, Any, int], Iterable[int]]] = None
 
 
 _COUNTERS = ("neighbor_evals", "orderings", "check_walks", "backtrack_walks",
@@ -120,21 +136,25 @@ class TraversalStats:
     ``solutions`` counts emissions, and each name in ``_COUNTERS`` is a work
     counter.  ``peak_retained`` tracks the largest number of solutions the
     traversal held at once in its named slots (current node, candidate
-    child, walk probe); the visited-set baseline counts its whole visited
-    set instead.  ``record_verdicts`` counts the child tests that a path
-    record settled instead of a check walk, so ``check_walks +
-    record_verdicts`` is the number that reached the path test; a verdict
-    costs no successor call, so it is not a work counter, and ``as_dict``
-    leaves it out.  With ``record_gaps`` the per-emission deltas of the work
-    counters are kept in ``gap_<counter>`` lists, which is what the
-    delay-structure assertions read.
+    child or walk probe, held parent); the visited-set baseline counts its
+    whole visited set instead.  ``record_verdicts`` counts the child tests
+    that a path record settled instead of a check walk, so ``check_walks +
+    record_verdicts`` is the number that reached the path test, and
+    ``held_backtracks`` the backtracks to a held parent, which take no
+    walk, so ``backtrack_walks + held_backtracks`` is the number of
+    backtracks.  Neither costs a successor call, so neither is a work
+    counter, and ``as_dict`` leaves them out.  With ``record_gaps`` the
+    per-emission deltas of the work counters are kept in ``gap_<counter>``
+    lists, which is what the delay-structure assertions read.
     """
 
-    __slots__ = ("solutions", *_COUNTERS, "record_verdicts", "peak_retained",
-                 "record_gaps", *("gap_" + c for c in _COUNTERS), "_last")
+    __slots__ = ("solutions", *_COUNTERS, "record_verdicts",
+                 "held_backtracks", "peak_retained", "record_gaps",
+                 *("gap_" + c for c in _COUNTERS), "_last")
 
     def __init__(self, record_gaps: bool = False) -> None:
         self.solutions = self.peak_retained = self.record_verdicts = 0
+        self.held_backtracks = 0
         for c in _COUNTERS:
             setattr(self, c, 0)
             setattr(self, "gap_" + c, [])
@@ -190,7 +210,8 @@ def _path(system: SetSystem, start: Any, target: Any, order: Sequence,
 
     ``k`` is None at ``start`` only: every step is ``neighbor_at`` at the
     step position, computed once per step.  ``i`` is None at the target,
-    whose proximity is never computed.  The step out of a probe is
+    whose proximity is never computed; the check walk passes no target
+    (None) and stops reading on its own.  The step out of a probe is
     taken only when the caller asks for the next item, and the proximity
     scan resumes where the previous probe's stopped, since proximity
     strictly increases along the path.
@@ -242,75 +263,101 @@ def parent(system: SetSystem, f: Any) -> Any:
 
 
 def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
-                    stats: TraversalStats) -> int:
+                    stats: TraversalStats, held: list) -> int:
     """The smallest neighbor position of ``f`` producing ``cand``, given
-    that position ``j`` produces it."""
-    excludes = system.position_excludes
-    for k in range(j):
-        if excludes is not None and excludes(f, k, cand):
-            continue
+    that position ``j`` produces it.  Only the positions that the system's
+    ``producing_positions`` names are evaluated (every position below ``j``
+    without it), and the first evaluation drops the held parent, whose slot
+    it takes."""
+    producing = system.producing_positions
+    for k in range(j) if producing is None else producing(f, cand, j):
+        held.clear()
         stats.neighbor_evals += 1
+        stats.note_retained(3)
         if system.neighbor_at(f, k) == cand:
             return k
     return j
 
 
-def _prefix_mask(order: Any, stop: int, start: int, mask: int) -> int:
-    """``mask`` with the ordering elements at positions ``start`` to
-    ``stop - 1`` set as bits."""
-    for p in range(start, stop):
-        mask |= 1 << order.element(p)
+def _prefix_mask(head: Sequence, start: int, stop: int, mask: int) -> int:
+    """``mask`` with the elements ``head[start:stop]`` set as bits."""
+    for e in head[start:stop]:
+        mask |= 1 << e
     return mask
 
 
-def _follow(record: list, order: Any, i_f: int) -> Union[list, bool, None]:
-    """Follow the path record of the scanning node f along ``order``, the
-    ordering of a candidate toward which f's proximity is ``i_f``.
+def _follow(record: list, head: Sequence, k: int) -> Union[list, bool, None]:
+    """Follow the path record of the scanning node f along ``head``, the
+    ordering of a candidate cut after position ``i_f = len(head) - 1``, f's
+    proximity toward it; ``k`` is the position of f's step toward it.
 
     The record is a path of steps from the root to f.  A step
-    ``(outside, s)`` leaves its probe by flipping element ``s``, and the
-    bits of ``outside`` lie outside the probe's set.  At each probe the root
-    walk toward the candidate scans ``order`` on from the position its last
-    step flipped (see ``SetSystem`` for what that takes): skipping bits of
-    ``outside`` and meeting ``s`` proves that it takes the same step;
-    reaching ``i_f`` first proves that it stops at that probe, short of f;
-    any other element leaves the step open.  Returns False when the walk
-    stops short, None when a step is open, and else the candidate's record:
-    the steps followed, each widened by the elements scanned before it
-    (they lie outside the probe's set, as the path is now the candidate's
-    canonical path), then f's own step.  Only positions up to ``i_f`` are
-    read, and those the proximity query toward f already computed.
+    ``(outside, s, k_t, canonical)`` leaves its probe by flipping element
+    ``s``, and the bits of ``outside`` lie outside the probe's set.  At each
+    probe the root walk toward the candidate scans ``head`` on from the
+    position its last step flipped (see ``SetSystem`` for what that takes):
+    skipping bits of ``outside`` and meeting ``s`` proves that it takes the
+    same step; reaching ``i_f`` first proves that it stops at that probe,
+    short of f; any other element leaves the step open.  Returns False when
+    the walk stops short, None when a step is open, and else the candidate's
+    record: the steps followed, each widened by the elements scanned before
+    it (they lie outside the probe's set, as the path is now the candidate's
+    canonical path) and keeping its flag, then f's own step, which ends the
+    candidate's canonical path.  ``head`` holds the elements that the
+    proximity query toward f already computed.
     """
+    i_f = len(head) - 1
     steps, seen, pos = [], 0, 0
-    for outside, s in record:
-        while pos < i_f and (e := order.element(pos)) != s:
+    for outside, s, k_t, canonical in record:
+        while pos < i_f and (e := head[pos]) != s:
             if not outside >> e & 1:
                 return None
             seen |= 1 << e
             pos += 1
         if pos == i_f:
             return False
-        steps.append((outside | seen, s))
+        steps.append((outside | seen, s, k_t, canonical))
         seen |= 1 << s
         pos += 1
-    steps.append((_prefix_mask(order, i_f, pos, seen), order.element(i_f)))
+    steps.append((_prefix_mask(head, pos, i_f, seen), head[i_f], k, True))
     return steps
 
 
-def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
-              stats: TraversalStats, record: Optional[list]
-              ) -> Optional[tuple[Sequence, Optional[list]]]:
-    """The ordering and the path record of ``cand`` if ``cand``, produced
-    from ``f`` at neighbor position ``j``, is a child of ``f`` in the
-    arborescence owned by that position, else None.
+def _walked_record(walk: Iterable, head: Sequence, k: int,
+                   record: Optional[list]) -> list:
+    """The path record of a child from its check walk, which reached the
+    scanning node f: ``walk`` holds each probe's proximity and the position
+    of the step out of it but the last, ``head`` the child's ordering up to
+    f's proximity, ``k`` the position of f's step to the child and
+    ``record`` f's own record or None.  An entry is canonical while the
+    walk's steps agree with ``record``'s and that entry is; the last, f's
+    step, always is, as the walk followed the child's canonical path."""
+    steps, seen, pos = [], 0, 0
+    agree = record is not None
+    for t, (i, k_t) in enumerate(walk):
+        seen, pos = _prefix_mask(head, pos, i, seen), i
+        agree = agree and t < len(record) and record[t][2] == k_t
+        steps.append((seen, head[i], k_t, agree and record[t][3]))
+    steps.append((_prefix_mask(head, pos, len(head) - 1, seen), head[-1], k,
+                  True))
+    return steps
 
-    ``f`` is the parent iff the canonical step out of ``f`` toward ``cand``
-    lands on ``cand`` and ``f`` lies on the canonical path; position ``j``
-    owns the child iff no smaller position produces it.  The step takes
-    position ``k``: below ``j`` it either misses ``cand`` or produces it
-    earlier, so the answer is no; at ``j`` it lands by construction; above
-    ``j`` one neighbor evaluation settles it.  Only a landing step pays for
-    the first-occurrence scan and the path test.
+
+def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
+              record: Optional[list], held: list
+              ) -> Optional[tuple[Any, Sequence, Optional[list]]]:
+    """The neighbor of ``f`` at position ``j`` with its ordering and path
+    record if it is a child of ``f`` in the arborescence owned by that
+    position, else None.  ``held`` is the traversal's held parent, if any:
+    a test that needs its slot drops it.
+
+    ``f`` is the parent iff the canonical step out of ``f`` toward the
+    candidate lands on it and ``f`` lies on the canonical path; position
+    ``j`` owns the child iff no smaller position produces it.  The step
+    takes position ``k``: below ``j`` it either misses the candidate or
+    produces it earlier, so the answer is no; at ``j`` it lands by
+    construction; above ``j`` one neighbor evaluation settles it.  Only a
+    landing step pays for the first-occurrence scan and the path test.
 
     The path test follows ``record``, ``f``'s path record (see
     ``_follow``), and walks from the root only when a step stays open or
@@ -318,64 +365,131 @@ def _is_child(system: SetSystem, f: Any, cand: Any, j: int,
     overtaking its proximity ``i_f``, since proximity strictly increases
     along the path.  Every step it takes starts below ``i_f``, so it reads
     only ``order[:i_f + 1]``: a probe's proximity there is
-    ``min(i, i_f + 1)``, which decides ``i >= i_f`` the same way.  A child
-    found by the walk takes the walk's steps as its record; a system
-    without ``step_position`` gets no records.
+    ``min(i, i_f + 1)``, which decides ``i >= i_f`` the same way, and the
+    candidate's own is ``i_f + 1``, so the walk needs no candidate in
+    hand.  With a parent held, it gives up the candidate's slot and
+    recomputes a child it finds.  A child found by the walk takes the
+    walk's steps as its record (``_walked_record``); a system without
+    ``step_position`` gets no records.
     """
+    stats.neighbor_evals += 1
+    cand = system.neighbor_at(f, j)
+    stats.note_retained(2 + bool(held))
+    if cand == system.root or cand == f:
+        return None
     order = system.ordering(cand)
     stats.orderings += 1
     i_f = system.proximity(f, order, 0)
+    if system.step_position is None:
+        held.clear()  # the fallback evaluates every neighbor of f
     k = _step_position(system, f, order, i_f)
     if k < j:
         return None
     if k > j:
+        held.clear()
         stats.neighbor_evals += 1
         stats.note_retained(3)
         if system.neighbor_at(f, k) != cand:
             return None
-    if _first_position(system, f, cand, j, stats) < j:
+    if _first_position(system, f, cand, j, stats, held) < j:
         return None
+    # Only a system with a step_position has records.
+    head = None if system.step_position is None else tuple(order[:i_f + 1])
     if record is not None:
-        steps = _follow(record, order, i_f)
+        steps = _follow(record, head, k)
         if steps is not None:
             stats.record_verdicts += 1
-            return (order, steps) if steps else None
+            return (cand, order, steps) if steps else None
     stats.check_walks += 1
     stats.note_retained(3)
-    recorded = system.step_position is not None
-    steps, seen, pos = [], 0, 0
-    for probe, i, _ in _path(system, system.root, cand, order[:i_f + 1],
-                             stats):
-        if probe != f and (i is None or i >= i_f):
-            return None
-        if recorded:
-            seen, pos = _prefix_mask(order, i, pos, seen), i
-            steps.append((seen, order.element(i)))
+    cand = None if held else cand
+    proximities, positions = [], []
+    for probe, i, step in _path(system, system.root, None, order[:i_f + 1],
+                                stats):
+        if step is not None:
+            positions.append(step)
         if probe == f:
-            return order, steps if recorded else None
+            break
+        if i >= i_f:
+            return None
+        proximities.append(i)
+    if cand is None:
+        stats.neighbor_evals += 1
+        cand = system.neighbor_at(f, j)
+    return cand, order, (None if head is None else _walked_record(
+        zip(proximities, positions), head, k, record))
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list] = None
+              record: Optional[list], held: list
               ) -> Iterator[tuple[int, Any, Sequence, Optional[list]]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
     order, each as its position, the child, the child's ordering and its
-    path record, given ``f``'s ``record`` (see ``_is_child``).  The root is
-    never anyone's child."""
+    path record, given ``f``'s ``record`` and the held parent (see
+    ``_is_child``).  The root is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
-        stats.neighbor_evals += 1
-        cand = system.neighbor_at(f, j)
-        stats.note_retained(2)
-        if cand != system.root and cand != f:
-            found = _is_child(system, f, cand, j, stats, record)
-            if found is not None:
-                yield (j, cand, *found)
+        found = _is_child(system, f, j, stats, record, held)
+        if found is not None:
+            yield (j, *found)
 
 
 def children(system: SetSystem, f: Any) -> list:
     """The children of ``f`` in the arborescence, in scan order; a child
     appears once, at the smallest neighbor position producing it."""
-    return [c for _, c, _, _ in _children(system, f, 0, TraversalStats())]
+    return [c for _, c, _, _ in _children(system, f, 0, TraversalStats(),
+                                          None, [])]
+
+
+def _replay(system: SetSystem, record: list, held: list,
+            stats: TraversalStats) -> Any:
+    """The parent of the node whose path record is ``record``: the probe
+    that the record's steps but the last reach by ``neighbor_at`` at their
+    positions, reading no ordering.  When the record up to the parent is
+    the parent's canonical path, the probe before the parent is the
+    parent's parent, and it becomes the held parent, its owner still to be
+    found below the position of its step."""
+    probe = system.root
+    for t, (_, _, k, canonical) in enumerate(record[:-1]):
+        if canonical and t == len(record) - 2:
+            held[:] = probe, None, k
+        probe = system.neighbor_at(probe, k)
+        stats.walk_steps += 1
+    return probe
+
+
+def _backtrack(system: SetSystem, node: Any, order: Optional[Sequence],
+               record: Optional[list], held: list, stats: TraversalStats
+               ) -> tuple[Any, int, Optional[list]]:
+    """The parent of ``node``, the scan position that resumes it (one past
+    the position owning ``node``) and the parent's path record.
+
+    A held parent takes no walk: its owner is the descent's scan position,
+    or found below the position of its step.  Else a path record is
+    replayed (``_replay``), and without one the walk from the root toward
+    ``node``'s ordering (``order``, when the child test that descended to
+    ``node`` built it) finds the parent.  The last step's position bounds
+    the owner, as it produces ``node``.  The parent keeps ``record[:-1]``
+    when that is its canonical path: the root's, or as the flag says.
+    """
+    if held:
+        stats.held_backtracks += 1
+        up, owner, bound = held
+        held.clear()
+        if owner is None:
+            owner = _first_position(system, up, node, bound, stats, held)
+    else:
+        stats.backtrack_walks += 1
+        stats.note_retained(3)
+        if record is not None:
+            up, bound = _replay(system, record, held, stats), record[-1][2]
+        else:
+            if order is None:
+                stats.orderings += 1
+                order = system.ordering(node)
+            up, bound = _parent_step(system, node, order, stats)
+        owner = _first_position(system, up, node, bound, stats, held)
+    kept = record is not None and (len(record) == 1 or record[-2][3])
+    return up, owner + 1, record[:-1] if kept else None
 
 
 def reverse_search(system: SetSystem,
@@ -387,33 +501,43 @@ def reverse_search(system: SetSystem,
     on exit from their subtree, which bounds the work between consecutive
     emissions by a constant number of children scans and backtracking parent
     recomputations.  At any instant at most three solutions are retained:
-    the current node, the candidate child under test, and the walk probe
-    used to recompute parents.
+    the current node, the candidate child under test or the probe of a
+    walk, and the held parent.
 
     The traversal's whole state is the current node, its depth parity, the
     neighbor position its scan resumes at, its ordering when the child
-    test that descended to it built one (the backtrack out of it reuses it),
-    and its path record when the system has a ``step_position``: per step of
-    its canonical path from the root, the ordering element the step flips
-    and a bitmask of elements outside that probe's fill, O(depth) ints in
-    all (see ``_follow``).  The child test follows the record before it
-    walks.  The root's record is empty, and a descent gives the child its
-    record; after a backtrack the parent has none until the next descent,
-    and its child tests walk.  Each step takes one child from a fresh scan
-    and drops the scan: a scan held per level would be a stack of
-    solutions.
+    test that descended to it built one, its path record when the system
+    has a ``step_position`` and the held parent.  The record holds, per step
+    of the node's canonical path from the root, the ordering element the
+    step flips, a bitmask of elements outside that probe's fill, the step's
+    neighbor position and a flag, O(depth) ints in all (see ``_follow``).
+    The child test follows the record before it walks.  The root's record
+    is empty, and a descent gives the child its record; a backtrack gives
+    the parent the child's record but its last step when the flags show it
+    is the parent's canonical path, else none, and then the parent's child
+    tests walk.
+
+    A descent holds the node it leaves, with the descent's position as its
+    owner, and a record replay holds the parent's parent when the parent's
+    record is canonical; a backtrack to a held parent takes no walk (see
+    ``_backtrack``).  A child test that must evaluate a third solution
+    drops the held parent first, and a check walk gives up the candidate
+    instead.  Each step takes one child from a fresh scan and drops the
+    scan: a scan held per level would be a stack of solutions.
     """
     if stats is None:
         stats = TraversalStats()
     current, odd, j, order = system.root, False, 0, None
     record = None if system.step_position is None else []
+    held = []  # the held parent, its owner position, or None and a bound
     stats.note_retained(1)
     stats.note_emission()
     yield current
 
     while True:
-        found = next(_children(system, current, j, stats, record), None)
+        found = next(_children(system, current, j, stats, record, held), None)
         if found is not None:
+            held[:] = current, found[0], None
             _, current, order, record = found
             odd, j = not odd, 0
             if not odd:
@@ -426,19 +550,9 @@ def reverse_search(system: SetSystem,
             yield current
         if current == system.root:
             return
-        stats.backtrack_walks += 1
-        if order is None:
-            stats.orderings += 1
-            order = system.ordering(current)
-        stats.note_retained(2)
-        up, last = _parent_step(system, current, order, stats)
-        # Resume the parent's scan one past the position owning the node we
-        # are leaving; recomputing it keeps the state free of solution stacks.
-        # The walk's last step produced the node, so the owner is at most
-        # that step's position.
-        j = _first_position(system, up, current, last, stats) + 1
-        current, odd, order, record = up, not odd, None, None
-        stats.note_retained(1)
+        current, j, record = _backtrack(system, current, order, record, held,
+                                        stats)
+        odd, order = not odd, None
 
 
 def visited_set_search(system: SetSystem,
@@ -534,13 +648,16 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         # Position j flips the (j+1)-th fill edge: the rank of the edge.
         return (f.mask & ((1 << idx) - 1)).bit_count()
 
-    def position_excludes(f: Completion, j: int, cand: Completion) -> bool:
-        # A flip by edge e never re-adds e, so a candidate containing the
-        # edge at position j cannot have come from it.
-        return bool(cand.mask >> _fill_index_at(f.mask, j) & 1)
+    def producing_positions(f: Completion, cand: Completion,
+                            j: int) -> list[int]:
+        # A flip by edge e never re-adds e, so only the positions of fill
+        # edges that the candidate lacks can produce it: their ranks.
+        ranks = ((f.mask & ((1 << e) - 1)).bit_count()
+                 for e in _iter_bits(f.mask & ~cand.mask))
+        return [k for k in ranks if k < j]
 
     return SetSystem(root=root, neighbor_count=Completion.size,
                      neighbor_at=neighbor_at, ordering=RemovalTrace,
                      proximity=prox, solution_key=solution_key,
-                     position_excludes=position_excludes,
-                     step_position=step_position)
+                     step_position=step_position,
+                     producing_positions=producing_positions)

@@ -258,9 +258,11 @@ def subset_swap_system(m: int, k: int,
     def solution_key(f: frozenset) -> tuple[int, ...]:
         return tuple(sorted(f))
 
-    def position_excludes(f: frozenset, j: int, cand: frozenset) -> bool:
-        x, u = swap_at(f, j)
-        return x in cand or u not in cand
+    def producing_positions(f: frozenset, cand: frozenset,
+                            j: int) -> list[int]:
+        # A swap of x for u produces cand only if cand lacks x and holds u.
+        return [p for p in range(j)
+                if (swap := swap_at(f, p))[0] not in cand and swap[1] in cand]
 
     return SetSystem(root=frozenset(range(k)),
                      neighbor_count=neighbor_count,
@@ -268,4 +270,11 @@ def subset_swap_system(m: int, k: int,
                      ordering=ordering,
                      proximity=proximity,
                      solution_key=solution_key,
-                     position_excludes=position_excludes if with_filter else None)
+                     producing_positions=(producing_positions if with_filter
+                                          else None))
+
+
+def first_position_by_scan(system: SetSystem, f, cand, j: int) -> int:
+    """Reference for the owner scan: the smallest position below ``j``
+    whose neighbor is ``cand``, every position evaluated, else ``j``."""
+    return next((k for k in range(j) if system.neighbor_at(f, k) == cand), j)

@@ -18,14 +18,16 @@ collection precedes each run.
 For every input it compares the digests of what the two versions emitted
 and takes the ratio of B's CPU time to A's, each summed over its two runs.
 It prints the median, the quartiles and the total (B's summed time over
-A's) of those ratios.  It exits 1 if any digest differs.  Standard library
-and git only.
+A's) of those ratios.  Under that line it prints the same figures for each
+side's second run over its first, an A/A and a B/B comparison that shows
+the noise of this very run beside the result.  It exits 1 if any digest
+differs.  Standard library and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
 ``VS_PREFIX`` solutions of 17,697.  ``--inputs`` sets how many inputs run.
-An A/A run (the same revision twice) shows the noise: a small number of
-inputs can read a few percent away from 1.  The ``filter`` argument of
+An A/A run (the same revision twice) shows the noise too: a small number
+of inputs can read a few percent away from 1.  The ``filter`` argument of
 ``tarfile`` extraction is used where this Python has it (3.10.12, 3.11.4
 and later).
 """
@@ -147,32 +149,43 @@ def main(argv=None) -> int:
                          f"chordalenum_ab_{side}")
                     for version, side in ((args.a, "a"), (args.b, "b"))]
         inputs, limit = workload_inputs(packages[0], args.workload, count)
-        ratios, totals, differ = [], [0.0, 0.0], 0
+        runs, differ = [], 0  # per input and side: its two times in order
         for index, inp in enumerate(inputs):
-            times, digests = [0.0, 0.0], [set(), set()]
+            times, digests = [[], []], [set(), set()]
             first = index % 2
             for side in (first, 1 - first, 1 - first, first):
                 elapsed, digest = run_one(packages[side], args.workload, inp,
                                           limit)
-                times[side] += elapsed
+                times[side].append(elapsed)
                 digests[side].add(digest)
-            (ta, tb), (da, db) = times, digests
+            (da, db) = digests
             if da != db:
                 differ += 1
                 print(f"input {index}: digests {sorted(da)} (A) != "
                       f"{sorted(db)} (B)")
-            totals[0] += ta
-            totals[1] += tb
-            ratios.append(tb / ta)
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 \
-        else ratios * 3
+            runs.append(times)
+    totals = [sum(sum(t[side]) for t in runs) for side in (0, 1)]
     print(f"{args.workload} seed 0: {len(inputs)} inputs, "
           f"limit {limit}; A {args.a}, B {args.b}")
     print(f"digests: {'identical' if not differ else f'{differ} differ'}")
     print(f"CPU s: A {totals[0]:.2f}, B {totals[1]:.2f}")
-    print(f"B/A CPU-time ratio: median {median:.4f}, quartiles {q1:.4f} "
-          f"to {q3:.4f}, total {totals[1] / totals[0]:.4f}")
+    print(summary("B/A CPU-time ratio",
+                  [(sum(t[0]), sum(t[1])) for t in runs]))
+    for side, name in ((0, "A/A"), (1, "B/B")):
+        print(summary(f"{name} (second run over first)",
+                      [tuple(t[side]) for t in runs]))
     return 1 if differ else 0
+
+
+def summary(label: str, pairs: list) -> str:
+    """The median, quartiles and total of the ratios ``new / old`` over
+    ``pairs`` of CPU times ``(old, new)``, as one line."""
+    ratios = [new / old for old, new in pairs]
+    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 \
+        else ratios * 3
+    total = sum(new for _, new in pairs) / sum(old for old, _ in pairs)
+    return (f"{label}: median {median:.4f}, quartiles {q1:.4f} to "
+            f"{q3:.4f}, total {total:.4f}")
 
 
 if __name__ == "__main__":
