@@ -162,13 +162,14 @@ def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
     Repeatedly deletes from ``masks``, in place, the smallest-index non-edge
     in ``candidates`` whose endpoints' common neighborhood in ``masks`` is a
     clique (so deleting it keeps a chordal graph chordal), and appends its
-    index to ``out`` when given.  Stops after deleting an index in ``stop``
-    (-1: after the first deletion; 0: never), or when no candidate is
-    removable.  Returns ``(candidates, cover, stuck)`` as they then stand:
-    the first is what is left of the candidates, and passed back with the
-    same ``masks`` the three resume the reduction where it stopped.  Once no
-    candidate is removable every one left is stuck, so a resumed call
-    returns at once, with no deletion.
+    index to ``out`` when given; every candidate must be an edge of
+    ``masks``.  Stops after deleting an index in ``stop`` (-1: after the
+    first deletion; 0: never), or when no candidate is removable.  Returns
+    ``(candidates, cover, stuck)`` as they then stand: the first is what is
+    left of the candidates, and passed back with the same ``masks`` the
+    three resume the reduction where it stopped.  Once no candidate is
+    removable every one left is stuck, so a resumed call returns at once,
+    with no deletion.
 
     ``cover`` must hold an endpoint of every edge missing from ``masks``
     (default: every vertex).  The clique test looks only at the common
@@ -185,36 +186,36 @@ def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
     """
     ne = non_edges(base)
     incident = non_edge_incidence(base)
-    while True:
-        m = candidates & ~stuck
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            u, v = ne[i]
-            cn = masks[u] & masks[v]
-            c = cn & cover
-            while c:
-                cl = c & -c
-                # w is in cn and never in masks[w], so cn misses an edge at
-                # w exactly when more than w itself is outside masks[w].
-                if cn & ~masks[cl.bit_length() - 1] != cl:
-                    break
-                c ^= cl
-            if not c:
+    m = candidates & ~stuck
+    while m:
+        low = m & -m
+        i = low.bit_length() - 1
+        u, v = ne[i]
+        cn = masks[u] & masks[v]
+        c = cn & cover
+        while c:
+            cl = c & -c
+            # w is in cn and never in masks[w], so cn misses an edge at w
+            # exactly when more than w itself is outside masks[w].
+            if cn & ~masks[cl.bit_length() - 1] != cl:
                 break
-            stuck |= low
-            m ^= low
+            c ^= cl
         else:
-            return candidates, cover, stuck
-        masks[u] &= ~(1 << v)
-        masks[v] &= ~(1 << u)
-        cover |= 1 << u
-        candidates ^= low
-        stuck &= ~(incident[u] | incident[v])
-        if out is not None:
-            out.append(i)
-        if stop & low:
-            return candidates, cover, stuck
+            # The common neighborhood is a clique: delete the pair.
+            masks[u] ^= 1 << v
+            masks[v] ^= 1 << u
+            cover |= 1 << u
+            candidates ^= low
+            stuck &= ~(incident[u] | incident[v])
+            if out is not None:
+                out.append(i)
+            if stop & low:
+                break
+            m = candidates & ~stuck
+            continue
+        stuck |= low
+        m ^= low
+    return candidates, cover, stuck
 
 
 def is_chordal_completion(f: Completion) -> bool:
@@ -447,27 +448,21 @@ def flip(f: Completion, e: Edge) -> Completion:
                                     f.mask, _fill_index(f, e))[0])
 
 
-def _successor_mask(base: Graph, mask: int, i: int, masks: list[int]) -> int:
-    """Flip fill index ``i`` out of the minimal completion ``mask``, then
-    greedily reduce; one adjacency serves both halves.
-
-    ``masks`` must be the filled adjacency of ``mask`` (as ``_filled_masks``
-    builds it); it is edited in place and ends as the result's.  The
-    reduction starts with every flipped fill pair stuck except ``near``,
-    those joining the flipped edge's ends to their common neighborhood:
-    ``_flip`` proves, case by case, that no other pair is removable right
-    after the flip.
-    """
-    mask, near = _flip(base, masks, mask, i)
-    return _reduce(base, masks, mask, stuck=mask & ~near)[0]
-
-
 def successor(f: Completion, e: Edge) -> Completion:
     """Flip ``e`` out of a minimal completion and greedily reduce the result
     back to a minimal one; raises ``ValueError`` when ``f`` is not a
-    minimal chordal completion."""
-    return Completion(f.base, _successor_mask(
-        f.base, f.mask, _fill_index(f, e), _require_minimal(f, "successor")))
+    minimal chordal completion.
+
+    One adjacency serves both kernels.  The reduction starts with every
+    flipped fill pair stuck except ``near``, those joining the flipped
+    edge's ends to their common neighborhood: ``_flip`` proves, case by
+    case, that no other pair is removable right after the flip.
+    """
+    i = _fill_index(f, e)
+    masks = _require_minimal(f, "successor")
+    mask, near = _flip(f.base, masks, f.mask, i)
+    return Completion(f.base,
+                      _reduce(f.base, masks, mask, stuck=mask & ~near)[0])
 
 
 def minimal_completion_root(g: Graph) -> Completion:

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Iterable, Iterator, Optional, Sequence,
                     Union)
 
-from .completions import (Completion, RemovalTrace, _filled_masks,
-                          _successor_mask, minimal_completion_root)
+from .completions import (Completion, RemovalTrace, _filled_masks, _flip,
+                          _reduce, minimal_completion_root)
 from .graph import Graph, _iter_bits, non_edges
 
 
@@ -100,12 +100,14 @@ class SetSystem:
     ``order[:i_f + 1]`` and used as bit positions.  The bitmasks also
     rest on proximity search itself: as proximity strictly increases along
     a canonical path, every element before a probe's proximity lies
-    outside that probe's set.  A record entry is ``(outside, s, k,
-    canonical)``: the bitmask, the flipped element, the step's neighbor
-    position, and whether the entries up to this one are the canonical
-    path of the probe the step reaches.  Canonical paths are not closed
-    under prefixes, so a backtrack hands a parent its part of a child's
-    record only when that flag says so.
+    outside that probe's set.  So does every element of a solution's own
+    ordering (the chordal trace runs over the fill's complement), so the
+    root's ordering widens the root's step.  A record entry is
+    ``(outside, s, k, canonical)``: the bitmask, the flipped element, the
+    step's neighbor position, and whether the entries up to this one are
+    the canonical path of the probe the step reaches.  Canonical paths are
+    not closed under prefixes, so a backtrack hands a parent its part of a
+    child's record only when that flag says so.
 
     The engine reads neither ``next_step`` nor ``position_excludes``.  The
     fields stay only because ``perfbench/tracing.py`` wraps them by name;
@@ -194,6 +196,7 @@ def _step_position(system: SetSystem, f: Any, order: Sequence,
             key = system.solution_key(nb)
             if best is None or key < best_key:
                 best, best_key = j, key
+        del nb  # not held while the next neighbor is computed
     if best is None:
         raise ProximitySearchError(
             "no neighbor is closer to the target; the system is not "
@@ -286,7 +289,8 @@ def _prefix_mask(head: Sequence, start: int, stop: int, mask: int) -> int:
     return mask
 
 
-def _follow(record: list, head: Sequence, k: int) -> Union[list, bool, None]:
+def _follow(record: list, head: Sequence, k: int,
+            root_outside: Callable[[], int]) -> Union[list, bool, None]:
     """Follow the path record of the scanning node f along ``head``, the
     ordering of a candidate cut after position ``i_f = len(head) - 1``, f's
     proximity toward it; ``k`` is the position of f's step toward it.
@@ -298,7 +302,9 @@ def _follow(record: list, head: Sequence, k: int) -> Union[list, bool, None]:
     position its last step flipped (see ``SetSystem`` for what that takes):
     skipping bits of ``outside`` and meeting ``s`` proves that it takes the
     same step; reaching ``i_f`` first proves that it stops at that probe,
-    short of f; any other element leaves the step open.  Returns False when
+    short of f; any other element leaves the step open.  At the root's step
+    the scan also skips the bits of ``root_outside()``, the elements outside
+    the root's set, which a traversal computes once.  Returns False when
     the walk stops short, None when a step is open, and else the candidate's
     record: the steps followed, each widened by the elements scanned before
     it (they lie outside the probe's set, as the path is now the candidate's
@@ -310,7 +316,7 @@ def _follow(record: list, head: Sequence, k: int) -> Union[list, bool, None]:
     steps, seen, pos = [], 0, 0
     for outside, s, k_t, canonical in record:
         while pos < i_f and (e := head[pos]) != s:
-            if not outside >> e & 1:
+            if not outside >> e & 1 and (steps or not root_outside() >> e & 1):
                 return None
             seen |= 1 << e
             pos += 1
@@ -344,7 +350,8 @@ def _walked_record(walk: Iterable, head: Sequence, k: int,
 
 
 def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list
+              record: Optional[list], held: list,
+              root_outside: Optional[Callable[[], int]] = None
               ) -> Optional[tuple[Any, Sequence, Optional[list]]]:
     """The neighbor of ``f`` at position ``j`` with its ordering and path
     record if it is a child of ``f`` in the arborescence owned by that
@@ -360,16 +367,16 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     landing step pays for the first-occurrence scan and the path test.
 
     The path test follows ``record``, ``f``'s path record (see
-    ``_follow``), and walks from the root only when a step stays open or
-    ``f`` has no record.  The check walk stops on meeting ``f`` or on
-    overtaking its proximity ``i_f``, since proximity strictly increases
-    along the path.  Every step it takes starts below ``i_f``, so it reads
-    only ``order[:i_f + 1]``: a probe's proximity there is
-    ``min(i, i_f + 1)``, which decides ``i >= i_f`` the same way, and the
-    candidate's own is ``i_f + 1``, so the walk needs no candidate in
-    hand.  With a parent held, it gives up the candidate's slot and
-    recomputes a child it finds.  A child found by the walk takes the
-    walk's steps as its record (``_walked_record``); a system without
+    ``_follow``, which reads ``root_outside``), and walks from the root
+    only when a step stays open or ``f`` has no record.  The check walk
+    stops on meeting ``f`` or on overtaking its proximity ``i_f``, since
+    proximity strictly increases along the path.  Every step it takes
+    starts below ``i_f``, so it reads only ``order[:i_f + 1]``: a probe's
+    proximity there is ``min(i, i_f + 1)``, which decides ``i >= i_f`` the
+    same way, and the candidate's own is ``i_f + 1``, so the walk needs no
+    candidate in hand.  With a parent held, it gives up the candidate's
+    slot and recomputes a child it finds.  A child found by the walk takes
+    the walk's steps as its record (``_walked_record``); a system without
     ``step_position`` gets no records.
     """
     stats.neighbor_evals += 1
@@ -396,7 +403,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     # Only a system with a step_position has records.
     head = None if system.step_position is None else tuple(order[:i_f + 1])
     if record is not None:
-        steps = _follow(record, head, k)
+        steps = _follow(record, head, k, root_outside)
         if steps is not None:
             stats.record_verdicts += 1
             return (cand, order, steps) if steps else None
@@ -421,14 +428,15 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list
+              record: Optional[list], held: list,
+              root_outside: Optional[Callable[[], int]] = None
               ) -> Iterator[tuple[int, Any, Sequence, Optional[list]]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
     order, each as its position, the child, the child's ordering and its
     path record, given ``f``'s ``record`` and the held parent (see
     ``_is_child``).  The root is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
-        found = _is_child(system, f, j, stats, record, held)
+        found = _is_child(system, f, j, stats, record, held, root_outside)
         if found is not None:
             yield (j, *found)
 
@@ -507,15 +515,16 @@ def reverse_search(system: SetSystem,
     The traversal's whole state is the current node, its depth parity, the
     neighbor position its scan resumes at, its ordering when the child
     test that descended to it built one, its path record when the system
-    has a ``step_position`` and the held parent.  The record holds, per step
-    of the node's canonical path from the root, the ordering element the
-    step flips, a bitmask of elements outside that probe's fill, the step's
-    neighbor position and a flag, O(depth) ints in all (see ``_follow``).
-    The child test follows the record before it walks.  The root's record
-    is empty, and a descent gives the child its record; a backtrack gives
-    the parent the child's record but its last step when the flags show it
-    is the parent's canonical path, else none, and then the parent's child
-    tests walk.
+    has a ``step_position``, the held parent and, once a child test needs
+    it, the set of elements outside the root's, read from the root's
+    ordering.  The record holds, per step of the node's canonical path from
+    the root, the ordering element the step flips, a bitmask of elements
+    outside that probe's fill, the step's neighbor position and a flag,
+    O(depth) ints in all (see ``_follow``).  The child test follows the
+    record before it walks.  The root's record is empty, and a descent
+    gives the child its record; a backtrack gives the parent the child's
+    record but its last step when the flags show it is the parent's
+    canonical path, else none, and then the parent's child tests walk.
 
     A descent holds the node it leaves, with the descent's position as its
     owner, and a record replay holds the parent's parent when the parent's
@@ -530,12 +539,22 @@ def reverse_search(system: SetSystem,
     current, odd, j, order = system.root, False, 0, None
     record = None if system.step_position is None else []
     held = []  # the held parent, its owner position, or None and a bound
+    root_out = None  # read from the root's ordering once a test needs it
+
+    def root_outside() -> int:
+        nonlocal root_out
+        if root_out is None:
+            stats.orderings += 1
+            root_out = _prefix_mask(system.ordering(system.root), 0, None, 0)
+        return root_out
+
     stats.note_retained(1)
     stats.note_emission()
     yield current
 
     while True:
-        found = next(_children(system, current, j, stats, record, held), None)
+        found = next(_children(system, current, j, stats, record, held,
+                               root_outside), None)
         if found is not None:
             held[:] = current, found[0], None
             _, current, order, record = found
@@ -597,36 +616,44 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     rank, among the fill edges, of the ordering element right after the
     matched prefix; the engine steps by ``neighbor_at`` at that position.
 
-    Successors start from a stored filled adjacency where one is at hand:
-    the system builds the root's adjacency at set-up and keeps, as tuples
-    keyed by fill mask, those of the two other masks used last.  A scan
+    A neighbor evaluation is one stored entry and one call of each kernel,
+    ``_flip`` then ``_reduce``.  An entry holds a fill mask, its filled
+    adjacency as a list and, from its second use, its list of fill indices,
+    so a scan reads position j in O(1); a first use, such as a walk
+    probe's, walks j bits instead.  The system builds the root's entry at
+    set-up and keeps two more, those of the other masks used last: a scan
     flips one node's fill edges in turn, walks restart at the root, and the
-    kernel ends holding its result's adjacency, which is the next probe of a
-    walk.  Entries are never edited, so traversals interleaved over one
-    system get the same answers.
+    kernel ends holding its result's adjacency, which becomes the newest
+    entry and the next probe of a walk.  The kernels edit a copy, never an
+    entry, so traversals interleaved over one system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_adj = tuple(_filled_masks(g, root.mask))
-    recent: dict[int, tuple[int, ...]] = {}  # least recently used first
-
-    def successor_mask(mask: int, i: int) -> int:
-        if mask == root.mask:
-            adj = root_adj
-        else:
-            adj = recent.pop(mask, None) or tuple(_filled_masks(g, mask))
-            recent[mask] = adj
-        masks = list(adj)
-        result = _successor_mask(g, mask, i, masks)
-        if result != root.mask:
-            recent.pop(result, None)
-            recent[result] = tuple(masks)
-        while len(recent) > 2:
-            del recent[next(iter(recent))]
-        return result
+    root_entry = [root.mask, _filled_masks(g, root.mask), None]
+    # Two more entries, least recently used first; the root's holds their
+    # places until other masks are used.
+    recent = [root_entry, root_entry]
 
     def neighbor_at(f: Completion, j: int) -> Completion:
-        return Completion(g, successor_mask(f.mask, _fill_index_at(f.mask, j)))
+        mask = f.mask
+        entry = root_entry if mask == root.mask else recent[1]
+        if entry[0] != mask:  # the older entry or a new one becomes newest
+            entry = recent[0] if recent[0][0] == mask else [
+                mask, _filled_masks(g, mask), None]
+            recent[:] = recent[1], entry
+        fills = entry[2]
+        if fills is None:  # first use: () walks the bits below
+            fills = entry[2] = ()
+        elif not fills:
+            fills = entry[2] = list(_iter_bits(mask))
+        i = fills[j] if 0 <= j < len(fills) else _fill_index_at(mask, j)
+        masks = list(entry[1])
+        flipped, near = _flip(g, masks, mask, i)
+        result = _reduce(g, masks, flipped, stuck=flipped & ~near)[0]
+        if result != root.mask and recent[1][0] != result:
+            recent[:] = recent[1], (recent[0] if recent[0][0] == result
+                                    else [result, masks, None])
+        return Completion(g, result)
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:
         return order.prefix_against(f.mask, start)

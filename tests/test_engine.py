@@ -489,20 +489,25 @@ def test_reverse_search_work_counters_are_frozen():
     # alters the traversal's work on purpose updates them.  Every child test
     # that reaches the path test is settled by a check walk or by the
     # scanning node's path record; the generic system has no records.  Every
-    # backtrack walks or returns to the held parent.
+    # backtrack walks or returns to the held parent.  On the first 100
+    # solutions of a relabelled cubic14, records that skip every element
+    # outside the root's set at the root's step settle 35 child tests that
+    # walked before (78 check walks), for one more ordering, the root's.
     cases = [
-        (chordal_completion_system(helpers.cycle_graph(7)),
+        (chordal_completion_system(helpers.cycle_graph(7)), None,
          (42, 168, 164, 0, 18, 28, 3), 164, 41),
-        (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)),
+        (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)), None,
          (21, 240, 207, 1, 9, 6, 3), 65, 20),
-        (helpers.subset_swap_system(6, 3), (20, 791, 176, 81, 19, 63, 3),
-         81, 19),
+        (helpers.subset_swap_system(6, 3), None,
+         (20, 791, 176, 81, 19, 63, 3), 81, 19),
+        (chordal_completion_system(_relabelled_cubic14(11)), 100,
+         (100, 2187, 2186, 43, 51, 735, 3), 1050, 95),
     ]
     names = ("solutions", "neighbor_evals", "orderings", "check_walks",
              "backtrack_walks", "walk_steps", "peak_retained")
-    for system, frozen, path_tests, backtracks in cases:
+    for system, limit, frozen, path_tests, backtracks in cases:
         stats = TraversalStats()
-        for _ in reverse_search(system, stats):
+        for _ in zip(range(limit or 10**9), reverse_search(system, stats)):
             pass
         assert stats.as_dict() == dict(zip(names, frozen))
         assert stats.check_walks + stats.record_verdicts == path_tests
@@ -542,46 +547,56 @@ def _count_builds(monkeypatch, *modules) -> list:
 
 
 def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
-    # The chordal system starts successors from stored adjacencies; every
-    # answer must equal the uncached kernel's, whatever the call order: a
-    # scan of f, a walk from the root, the same scan again (after the walk
-    # evicted f), and two systems over different graphs interleaved.  Only
-    # the system's own builds are counted, not the reference's.
+    # The chordal system starts successors from stored entries; every answer
+    # must equal the uncached kernel's, whatever the call order.  Every
+    # solution's positions are read in scan order, with a second system over
+    # another graph called between them; then a walk from the root evicts
+    # the scanned node's entry and the same scan runs again.  A position out
+    # of range raises IndexError on an entry's first use (which walks the
+    # fill bits), on the use that stores its fill list and after.  Only the
+    # system's own builds are counted, not the reference's.
     built = _count_builds(monkeypatch, chordalenum.engine)
     rng = random.Random(75025)
     calls = builds = rebuilt = 0
-    for _ in range(200):
-        g = helpers.random_graph_at_most(rng, rng.randint(4, 10), 14)
+    for _ in range(40):
+        g = helpers.random_graph_at_most(rng, rng.randint(4, 12), 14)
         system = chordal_completion_system(g)
-        sols = list(visited_set_search(system))
-        f, target = rng.choice(sols), rng.choice(sols)
-        expected = [successor(f, e) for e in f.fill_edges]
-        built.clear()
-        assert [system.neighbor_at(f, j) for j in range(len(expected))] \
-            == expected
-        order = system.ordering(target)
-        probe, i = system.root, -1
-        while probe != target:
-            i = system.proximity(probe, order, i + 1)
-            j = system.step_position(probe, order, i)
-            step = system.neighbor_at(probe, j)
-            assert step == successor(probe, probe.fill_edges[j])
-            probe = step
-            calls += 1
-        assert [system.neighbor_at(f, j) for j in range(len(expected))] \
-            == expected
-        calls += 2 * len(expected)
-        builds += len(built)
-        rebuilt += built.count(f.mask) > 1
         other = chordal_completion_system(
-            helpers.random_graph_at_most(rng, rng.randint(4, 10), 14))
-        h = other.root
-        for j in range(max(len(expected), other.neighbor_count(h))):
-            if j < len(expected):
-                assert system.neighbor_at(f, j) == expected[j]
-            if j < other.neighbor_count(h):
-                assert other.neighbor_at(h, j) == \
-                    successor(h, h.fill_edges[j])
+            helpers.random_graph_at_most(rng, rng.randint(4, 12), 14))
+        sols, others = (list(visited_set_search(s)) for s in (system, other))
+        for f in sols:
+            expected = [successor(f, e) for e in f.fill_edges]
+            built.clear()
+            for _ in range(2):
+                for j, nb in enumerate(expected):
+                    assert system.neighbor_at(f, j) == nb
+                    h = rng.choice(others)
+                    if h.mask:
+                        k = rng.randrange(h.size())
+                        assert other.neighbor_at(h, k) == \
+                            successor(h, h.fill_edges[k])
+                target = rng.choice(sols)
+                order = system.ordering(target)
+                probe, i = system.root, -1
+                while probe != target:
+                    i = system.proximity(probe, order, i + 1)
+                    j = system.step_position(probe, order, i)
+                    step = system.neighbor_at(probe, j)
+                    assert step == successor(probe, probe.fill_edges[j])
+                    probe = step
+                    calls += 1
+            calls += 2 * len(expected)
+            builds += len(built)
+            rebuilt += built.count(f.mask) > 1
+            for bad in (len(expected), -1):
+                fresh = chordal_completion_system(g)
+                for _ in range(3):
+                    with pytest.raises(IndexError, match=(
+                            rf"^neighbor position {bad} is not in "
+                            rf"range\({len(expected)}\)$")):
+                        fresh.neighbor_at(f, bad)
+                assert [fresh.neighbor_at(f, j)
+                        for j in range(len(expected))] == expected
     # The corpus reached hits (fewer builds than successor calls) and
     # evictions (f built again after the walk dropped it).
     assert builds < calls / 2
@@ -658,9 +673,9 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
     real = chordalenum.engine._is_child
     outcomes = collections.Counter()
 
-    def checked(system, f, j, stats, record, held):
+    def checked(system, f, j, stats, record, held, root_outside):
         verdicts, walks = stats.record_verdicts, stats.check_walks
-        found = real(system, f, j, stats, record, held)
+        found = real(system, f, j, stats, record, held, root_outside)
         if stats.record_verdicts > verdicts:
             walked = real(system, f, j, TraversalStats(), None, [])
             assert (found is None) == (walked is None)
@@ -672,7 +687,7 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
             _assert_canonical_record(system, cand, steps, order)
         return found
 
-    def walking(system, f, j, stats, record, held):
+    def walking(system, f, j, stats, record, held, root_outside):
         return real(system, f, j, stats, None, held)
 
     rng = random.Random(196418)
@@ -761,8 +776,8 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
         up, j, _ = real_backtrack(system, node, order, None, held, stats)
         return up, j, kept
 
-    def holding_none(system, f, j, stats, record, held):
-        return real_is_child(system, f, j, stats, record, [])
+    def holding_none(system, f, j, stats, record, held, root_outside):
+        return real_is_child(system, f, j, stats, record, [], root_outside)
 
     # Relabelling 56 returns early on to a held parent that the record
     # replay held and whose owner lies below the position of its step.
@@ -852,6 +867,32 @@ def test_live_solutions_at_emissions_are_counted_independently():
         assert emitted == len(set(visited_set_search(plain)))
     assert peak == 2
 
+
+
+def test_live_solutions_at_fallback_neighbor_calls_are_counted():
+    # Without a step_position each walk step evaluates every neighbor of its
+    # probe.  At every neighbor_at call, the solutions alive besides the
+    # system's root must be no more than the traversal has counted so far;
+    # the scan holds one neighbor at a time.  The consumer keeps no
+    # emission (the deque keeps none).
+    for plain in (chordal_completion_system(helpers.cycle_graph(7)),
+                  helpers.subset_swap_system(6, 3)):
+        live = weakref.WeakSet()
+        system = _generic(_tracked_system(plain, live))
+        stats = TraversalStats()
+        counts = []
+
+        def counted(f, j, neighbor_at=system.neighbor_at):
+            alive = sum(1 for x in live if x is not system.root)
+            if alive > stats.peak_retained:
+                gc.collect()
+                alive = sum(1 for x in live if x is not system.root)
+            counts.append((alive, stats.peak_retained))
+            return neighbor_at(f, j)
+        collections.deque(reverse_search(
+            dataclasses.replace(system, neighbor_at=counted), stats), maxlen=0)
+        assert all(alive <= peak for alive, peak in counts)
+        assert max(alive for alive, _ in counts) == stats.peak_retained == 3
 
 # networkx.random_regular_graph(3, 40, seed=40): 720 non-edges.
 CUBIC40_EDGES = [

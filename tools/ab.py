@@ -3,14 +3,15 @@
 Usage::
 
     python3 tools/ab.py A B --workload cubic14_rs|cubic14_vs|verify_small
-        [--inputs N]
+        [--inputs N] [--seed N]
 
 A and B are git revisions of this repository or paths to checkouts.  Each
 one's ``src/chordalenum`` is copied to a temporary directory (with
 ``git archive`` for a revision) and imported under its own package name,
 so both run in this one interpreter on the same heap and host state.  The
-inputs are the workload's seed-0 inputs, made by
-``perfbench/workloads.py`` (imported, never edited).  Each input runs
+inputs are the workload's inputs of ``--seed`` (default 0), made by
+``perfbench/workloads.py`` (imported, never edited); a claim read on the
+seed used while writing a change can be checked on another.  Each input runs
 twice per version, as A B B A on even inputs and B A A B on odd ones, so
 that a drift of the host's speed over the four runs cancels; a garbage
 collection precedes each run.
@@ -91,8 +92,9 @@ def load(directory: Path, name: str):
     return package
 
 
-def workload_inputs(package, workload: str, count: int) -> tuple[list, int]:
-    """The first ``count`` seed-0 inputs of ``workload`` and its solution
+def workload_inputs(package, workload: str, seed: int,
+                    count: int) -> tuple[list, int]:
+    """The first ``count`` inputs of ``workload`` at ``seed`` and its solution
     prefix per input, from ``perfbench/workloads.py``, which imports
     ``chordalenum``: ``package`` stands in for it while the module loads."""
     saved = {k: sys.modules.get(k) for k in ("chordalenum", "chordalenum.cli")}
@@ -110,7 +112,7 @@ def workload_inputs(package, workload: str, count: int) -> tuple[list, int]:
                 sys.modules[key] = module
     w = workloads.WORKLOADS[workload]
     limit = VS_PREFIX if workload == "cubic14_vs" else w.limit
-    return [w.make_input(0, index) for index in range(count)], limit
+    return [w.make_input(seed, index) for index in range(count)], limit
 
 
 def run_one(package, workload: str, inp, limit) -> tuple[float, str]:
@@ -142,13 +144,15 @@ def main(argv=None) -> int:
     parser.add_argument("b", help="git revision or checkout path")
     parser.add_argument("--workload", required=True, choices=sorted(INPUTS))
     parser.add_argument("--inputs", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     count = args.inputs if args.inputs is not None else INPUTS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         packages = [load(extract(version, Path(tmp) / side),
                          f"chordalenum_ab_{side}")
                     for version, side in ((args.a, "a"), (args.b, "b"))]
-        inputs, limit = workload_inputs(packages[0], args.workload, count)
+        inputs, limit = workload_inputs(packages[0], args.workload,
+                                        args.seed, count)
         runs, differ = [], 0  # per input and side: its two times in order
         for index, inp in enumerate(inputs):
             times, digests = [[], []], [set(), set()]
@@ -165,7 +169,7 @@ def main(argv=None) -> int:
                       f"{sorted(db)} (B)")
             runs.append(times)
     totals = [sum(sum(t[side]) for t in runs) for side in (0, 1)]
-    print(f"{args.workload} seed 0: {len(inputs)} inputs, "
+    print(f"{args.workload} seed {args.seed}: {len(inputs)} inputs, "
           f"limit {limit}; A {args.a}, B {args.b}")
     print(f"digests: {'identical' if not differ else f'{differ} differ'}")
     print(f"CPU s: A {totals[0]:.2f}, B {totals[1]:.2f}")
