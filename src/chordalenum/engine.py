@@ -351,7 +351,7 @@ def _walked_record(walk: Iterable, head: Sequence, k: int,
 
 def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
               record: Optional[list], held: list,
-              root_outside: Optional[Callable[[], int]] = None
+              root_outside: Callable[[], int] = lambda: 0
               ) -> Optional[tuple[Any, Sequence, Optional[list]]]:
     """The neighbor of ``f`` at position ``j`` with its ordering and path
     record if it is a child of ``f`` in the arborescence owned by that
@@ -429,7 +429,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
               record: Optional[list], held: list,
-              root_outside: Optional[Callable[[], int]] = None
+              root_outside: Callable[[], int] = lambda: 0
               ) -> Iterator[tuple[int, Any, Sequence, Optional[list]]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
     order, each as its position, the child, the child's ordering and its
@@ -617,19 +617,17 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     matched prefix; the engine steps by ``neighbor_at`` at that position.
 
     A neighbor evaluation is one stored entry and one call of each kernel,
-    ``_flip`` then ``_reduce``.  An entry holds a fill mask, its filled
-    adjacency as a list and, from its second use, its list of fill indices,
-    so a scan reads position j in O(1); a first use, such as a walk
-    probe's, walks j bits instead.  The system builds the root's entry at
-    set-up and keeps two more, those of the other masks used last: a scan
-    flips one node's fill edges in turn, walks restart at the root, and the
-    kernel ends holding its result's adjacency, which becomes the newest
-    entry and the next probe of a walk.  The kernels edit a copy, never an
-    entry, so traversals interleaved over one system get the same answers.
+    ``_flip`` then ``_reduce``.  An entry holds a fill mask and its filled
+    adjacency as a list.  The system builds the root's entry at set-up and
+    keeps two more, those of the other masks used last: a scan flips one
+    node's fill edges in turn, walks restart at the root, and the kernel
+    ends holding its result's adjacency, which becomes the newest entry and
+    the next probe of a walk.  The kernels edit a copy, never an entry, so
+    traversals interleaved over one system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_entry = [root.mask, _filled_masks(g, root.mask), None]
+    root_entry = [root.mask, _filled_masks(g, root.mask)]
     # Two more entries, least recently used first; the root's holds their
     # places until other masks are used.
     recent = [root_entry, root_entry]
@@ -639,20 +637,15 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         entry = root_entry if mask == root.mask else recent[1]
         if entry[0] != mask:  # the older entry or a new one becomes newest
             entry = recent[0] if recent[0][0] == mask else [
-                mask, _filled_masks(g, mask), None]
+                mask, _filled_masks(g, mask)]
             recent[:] = recent[1], entry
-        fills = entry[2]
-        if fills is None:  # first use: () walks the bits below
-            fills = entry[2] = ()
-        elif not fills:
-            fills = entry[2] = list(_iter_bits(mask))
-        i = fills[j] if 0 <= j < len(fills) else _fill_index_at(mask, j)
+        i = _fill_index_at(mask, j)
         masks = list(entry[1])
         flipped, near = _flip(g, masks, mask, i)
         result = _reduce(g, masks, flipped, stuck=flipped & ~near)[0]
         if result != root.mask and recent[1][0] != result:
             recent[:] = recent[1], (recent[0] if recent[0][0] == result
-                                    else [result, masks, None])
+                                    else [result, masks])
         return Completion(g, result)
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:

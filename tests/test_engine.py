@@ -552,9 +552,9 @@ def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
     # solution's positions are read in scan order, with a second system over
     # another graph called between them; then a walk from the root evicts
     # the scanned node's entry and the same scan runs again.  A position out
-    # of range raises IndexError on an entry's first use (which walks the
-    # fill bits), on the use that stores its fill list and after.  Only the
-    # system's own builds are counted, not the reference's.
+    # of range raises IndexError both on the call that builds an entry and
+    # on a call that finds it stored.  Only the system's own builds are
+    # counted, not the reference's.
     built = _count_builds(monkeypatch, chordalenum.engine)
     rng = random.Random(75025)
     calls = builds = rebuilt = 0
@@ -590,7 +590,7 @@ def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
             rebuilt += built.count(f.mask) > 1
             for bad in (len(expected), -1):
                 fresh = chordal_completion_system(g)
-                for _ in range(3):
+                for _ in range(2):
                     with pytest.raises(IndexError, match=(
                             rf"^neighbor position {bad} is not in "
                             rf"range\({len(expected)}\)$")):
@@ -868,7 +868,6 @@ def test_live_solutions_at_emissions_are_counted_independently():
     assert peak == 2
 
 
-
 def test_live_solutions_at_fallback_neighbor_calls_are_counted():
     # Without a step_position each walk step evaluates every neighbor of its
     # probe.  At every neighbor_at call, the solutions alive besides the
@@ -893,6 +892,7 @@ def test_live_solutions_at_fallback_neighbor_calls_are_counted():
             dataclasses.replace(system, neighbor_at=counted), stats), maxlen=0)
         assert all(alive <= peak for alive, peak in counts)
         assert max(alive for alive, _ in counts) == stats.peak_retained == 3
+
 
 # networkx.random_regular_graph(3, 40, seed=40): 720 non-edges.
 CUBIC40_EDGES = [
