@@ -622,12 +622,16 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     keeps two more, those of the other masks used last: a scan flips one
     node's fill edges in turn, walks restart at the root, and the kernel
     ends holding its result's adjacency, which becomes the newest entry and
-    the next probe of a walk.  The kernels edit a copy, never an entry, so
+    the next probe of a walk.  An entry built from its mask also holds the
+    list of its fill indices, so a scan reads position j in one step; a
+    kernel result's entry, which a walk uses once, holds none, and a call
+    on it walks j bits.  The kernels edit a copy, never an entry, so
     traversals interleaved over one system get the same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_entry = [root.mask, _filled_masks(g, root.mask)]
+    root_entry = [root.mask, _filled_masks(g, root.mask),
+                  list(_iter_bits(root.mask))]
     # Two more entries, least recently used first; the root's holds their
     # places until other masks are used.
     recent = [root_entry, root_entry]
@@ -637,15 +641,17 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         entry = root_entry if mask == root.mask else recent[1]
         if entry[0] != mask:  # the older entry or a new one becomes newest
             entry = recent[0] if recent[0][0] == mask else [
-                mask, _filled_masks(g, mask)]
+                mask, _filled_masks(g, mask), list(_iter_bits(mask))]
             recent[:] = recent[1], entry
-        i = _fill_index_at(mask, j)
+        fills = entry[2]  # None in a kernel result's entry
+        i = (fills[j] if fills and 0 <= j < len(fills)
+             else _fill_index_at(mask, j))
         masks = list(entry[1])
         flipped, near = _flip(g, masks, mask, i)
         result = _reduce(g, masks, flipped, stuck=flipped & ~near)[0]
         if result != root.mask and recent[1][0] != result:
             recent[:] = recent[1], (recent[0] if recent[0][0] == result
-                                    else [result, masks])
+                                    else [result, masks, None])
         return Completion(g, result)
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:

@@ -551,10 +551,12 @@ def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
     # must equal the uncached kernel's, whatever the call order.  Every
     # solution's positions are read in scan order, with a second system over
     # another graph called between them; then a walk from the root evicts
-    # the scanned node's entry and the same scan runs again.  A position out
-    # of range raises IndexError both on the call that builds an entry and
-    # on a call that finds it stored.  Only the system's own builds are
-    # counted, not the reference's.
+    # the scanned node's entry and the same scan runs again, so positions
+    # are read both from an entry's fill-index list and, on the walk's
+    # probes, by walking bits.  A position out of range raises IndexError
+    # both on the call that builds an entry and on a call that finds it
+    # stored.  Only the system's own builds are counted, not the
+    # reference's.
     built = _count_builds(monkeypatch, chordalenum.engine)
     rng = random.Random(75025)
     calls = builds = rebuilt = 0
