@@ -146,12 +146,13 @@ def _flip(base: Graph, masks: list[int], mask: int,
         low = m & -m
         v = low.bit_length() - 1
         masks[v] |= cn ^ low
-        within |= incident[v] & seen
-        seen |= incident[v]
+        iv = incident[v]
+        within |= iv & seen
+        seen |= iv
         m ^= low
-    masks[x] &= ~(1 << y)
-    masks[y] &= ~(1 << x)
-    return (mask | within) & ~(1 << i), (incident[x] | incident[y]) & seen
+    masks[x] ^= 1 << y
+    masks[y] ^= 1 << x
+    return (mask | within) ^ (1 << i), (incident[x] | incident[y]) & seen
 
 
 def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
@@ -177,18 +178,21 @@ def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
     seen from either end, so from the end the cover holds.  Each deletion
     adds an endpoint of the edge it removes.
 
-    ``stuck`` holds pairs to skip, and may hold only pairs not removable in
-    ``masks``.  Deleting edge (u, v) cannot unblock a pair disjoint from
-    {u, v}: that pair's common neighborhood is unchanged and only gains
-    violations.  So a pair found stuck is skipped until a deletion touches
-    one of its endpoints, and the smallest removable index is the same as
-    with no pair skipped.
+    The loop keeps one mask, the candidates still to test, which starts as
+    ``candidates`` less ``stuck``; ``stuck`` may hold only pairs not
+    removable in ``masks``.  A failed test drops its pair from the mask,
+    and deleting edge (u, v) adds back the candidates at u or v.  No other
+    pair needs a new test: one disjoint from {u, v} keeps its common
+    neighborhood, which only gains violations.  So the smallest removable
+    index is the same as with no pair skipped, and the stuck pairs returned
+    are the candidates outside the mask.
     """
     ne = non_edges(base)
     incident = non_edge_incidence(base)
     m = candidates & ~stuck
     while m:
         low = m & -m
+        m ^= low
         i = low.bit_length() - 1
         u, v = ne[i]
         cn = masks[u] & masks[v]
@@ -206,16 +210,12 @@ def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
             masks[v] ^= 1 << u
             cover |= 1 << u
             candidates ^= low
-            stuck &= ~(incident[u] | incident[v])
+            m = candidates & (m | incident[u] | incident[v])
             if out is not None:
                 out.append(i)
             if stop & low:
                 break
-            m = candidates & ~stuck
-            continue
-        stuck |= low
-        m ^= low
-    return candidates, cover, stuck
+    return candidates, cover, candidates & ~m
 
 
 def is_chordal_completion(f: Completion) -> bool:

@@ -630,15 +630,16 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_entry = [root.mask, _filled_masks(g, root.mask),
-                  list(_iter_bits(root.mask))]
+    root_mask = root.mask
+    root_entry = [root_mask, _filled_masks(g, root_mask),
+                  list(_iter_bits(root_mask))]
     # Two more entries, least recently used first; the root's holds their
     # places until other masks are used.
     recent = [root_entry, root_entry]
 
     def neighbor_at(f: Completion, j: int) -> Completion:
         mask = f.mask
-        entry = root_entry if mask == root.mask else recent[1]
+        entry = root_entry if mask == root_mask else recent[1]
         if entry[0] != mask:  # the older entry or a new one becomes newest
             entry = recent[0] if recent[0][0] == mask else [
                 mask, _filled_masks(g, mask), list(_iter_bits(mask))]
@@ -648,8 +649,8 @@ def chordal_completion_system(g: Graph) -> SetSystem:
              else _fill_index_at(mask, j))
         masks = list(entry[1])
         flipped, near = _flip(g, masks, mask, i)
-        result = _reduce(g, masks, flipped, stuck=flipped & ~near)[0]
-        if result != root.mask and recent[1][0] != result:
+        result = _reduce(g, masks, flipped, -1, flipped & ~near)[0]
+        if result != root_mask and recent[1][0] != result:
             recent[:] = recent[1], (recent[0] if recent[0][0] == result
                                     else [result, masks, None])
         return Completion(g, result)

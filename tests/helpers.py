@@ -190,6 +190,35 @@ def greedy_reduce_by_retest(g: Graph, fill, candidates) -> list:
         dropped.append(e)
 
 
+def clique_removable(rows: list, u: int, v: int) -> bool:
+    """Whether edge (u, v) of the adjacency ``rows`` has a clique as its
+    endpoints' common neighborhood, so that deleting it keeps a chordal
+    graph chordal: every common neighbor sees every other one."""
+    common = rows[u] & rows[v]
+    return all(common & ~rows[w] == 1 << w
+               for w in range(len(rows)) if common >> w & 1)
+
+
+def greedy_reduce_by_clique_test(rows: list, ne, candidates: int) -> list:
+    """Reference for the greedy-deletion kernel: each round tests every
+    remaining candidate (bit i of ``candidates`` names the pair ``ne[i]``)
+    afresh, smallest index first, with no pair skipped and no cover, and
+    deletes the first that ``clique_removable`` accepts from ``rows``, in
+    place.  Returns the deleted indices in order."""
+    remaining = [i for i in range(len(ne)) if candidates >> i & 1]
+    dropped = []
+    while True:
+        i = next((i for i in remaining if clique_removable(rows, *ne[i])),
+                 None)
+        if i is None:
+            return dropped
+        u, v = ne[i]
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        remaining.remove(i)
+        dropped.append(i)
+
+
 def children_by_step_reference(system: SetSystem, f) -> list:
     """Reference for ``children``, deciding each candidate by solutions, not
     positions: the candidate at position j is a child of ``f`` when no

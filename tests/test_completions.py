@@ -426,6 +426,65 @@ def test_kernel_stopped_and_resumed_deletes_as_one_drain():
     assert stops > 200 and resumed > 100
 
 
+def test_kernel_at_larger_sizes_matches_clique_test_reference():
+    """The greedy-deletion kernel on random graphs with 12 to 40 vertices,
+    whose ground masks span up to 25 30-bit digits, against a reference that
+    re-tests every candidate each round with no pair skipped.  Runs start
+    from a flipped minimal completion (the cover holds every vertex and the
+    pairs outside ``near`` start stuck, as in the successor) and from K_n
+    with the complement of a minimal completion or a random subset as the
+    candidates (the empty cover, as in the traces).  The
+    kernel is stopped at random stop masks and resumed from the state it
+    returns; after every call, each pair of the returned stuck set is a
+    candidate that is not removable in the returned rows, which a resume
+    relies on."""
+    rng = random.Random(832040)
+    reduce = chordalenum.completions._reduce
+    stops = flipped = 0
+    for _ in range(200):
+        n = rng.randint(12, 40)
+        pairs = n * (n - 1) // 2
+        g = helpers.random_graph(rng, n, rng.randint(pairs // 2, pairs - n))
+        ne = non_edges(g)
+        f = minimal_completion_root(g)
+        if f.mask and rng.random() < 0.5:
+            for _ in range(rng.randint(0, 2)):
+                f = successor(f, rng.choice(f.fill_edges))
+            rows = chordalenum.completions._filled_masks(g, f.mask)
+            i = rng.choice([i for i in range(len(ne)) if f.mask >> i & 1])
+            candidates, near = chordalenum.completions._flip(
+                g, rows, f.mask, i)
+            state = (candidates, -1, candidates & ~near)
+            flipped += 1
+        else:
+            rows = list(chordalenum.completions._complete(n))
+            # The complement of a minimal completion, as in its trace, or
+            # a random subset of it or of every pair.
+            candidates = rng.choice((~f.mask, -1)) & rng.choice(
+                (-1, rng.getrandbits(len(ne)))) & (1 << len(ne)) - 1
+            state = (candidates, 0, 0)
+        expected_rows = list(rows)
+        expected = helpers.greedy_reduce_by_clique_test(
+            expected_rows, ne, candidates)
+        pieces: list[int] = []
+        while True:
+            stop = 0 if rng.random() < 0.05 else rng.choice(
+                (-1, rng.getrandbits(len(ne)) & rng.getrandbits(len(ne))))
+            before = len(pieces)
+            state = reduce(g, rows, *state, stop=stop, out=pieces)
+            rest, _, stuck = state
+            assert not stuck & ~rest
+            assert not any(helpers.clique_removable(rows, *ne[j])
+                           for j in range(len(ne)) if stuck >> j & 1)
+            added = pieces[before:]
+            if not added or not stop >> added[-1] & 1:
+                break
+            stops += 1
+        assert pieces == expected and rows == expected_rows
+        assert rest == candidates & ~sum(1 << j for j in expected) == stuck
+    assert stops > 1200 and 80 < flipped < 120
+
+
 def test_trace_pulled_in_random_pieces_matches_one_force():
     """A removal trace pulled in random pieces, by ``prefix_against`` from
     random starts against random fills, by ``element`` and through views,

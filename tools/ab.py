@@ -2,8 +2,9 @@
 
 Usage::
 
-    python3 tools/ab.py A B --workload cubic14_rs|cubic14_vs|verify_small
-        [--inputs N] [--seed N]
+    python3 tools/ab.py A B
+        --workload cubic14_rs|cubic14_vs|verify_small|scale_rs
+        [--inputs N] [--seed N] [--vertices N]
 
 A and B are git revisions of this repository or paths to checkouts.  Each
 one's ``src/chordalenum`` is copied to a temporary directory (with
@@ -26,7 +27,12 @@ differs.  Standard library and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
-``VS_PREFIX`` solutions of 17,697.  ``--inputs`` sets how many inputs run.
+``VS_PREFIX`` solutions of 17,697.  ``scale_rs`` is not a benchmark
+workload: its inputs are random cubic graphs on ``--vertices`` vertices
+(default 40, an even number), one per seed and input index, of which
+reverse search enumerates the first ``SCALE_PREFIX`` solutions, so that
+growth with n is timed the same way.  ``--inputs`` (at least 1) sets how
+many inputs run.
 An A/A run (the same revision twice) shows the noise too: a small number
 of inputs can read a few percent away from 1.  The ``filter`` argument of
 ``tarfile`` extraction is used where this Python has it (3.10.12, 3.11.4
@@ -40,6 +46,7 @@ import gc
 import hashlib
 import importlib.util
 import io
+import random
 import shutil
 import statistics
 import subprocess
@@ -49,11 +56,33 @@ import tempfile
 import time
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "chordalenum"
-INPUTS = {"cubic14_rs": 40, "cubic14_vs": 12, "verify_small": 2000}
+INPUTS = {"cubic14_rs": 40, "cubic14_vs": 12, "verify_small": 2000,
+          "scale_rs": 6}
 VS_PREFIX = 2000  # cubic14_vs solutions enumerated per input
+SCALE_PREFIX = 25  # scale_rs solutions enumerated per input
+
+
+class Cubic(NamedTuple):
+    """A ``scale_rs`` input: a graph on ``n`` vertices."""
+    n: int
+    edges: tuple
+
+
+def random_cubic(n: int, rng: random.Random) -> Cubic:
+    """A random simple cubic graph on ``n`` vertices (``n`` even): a
+    configuration-model pairing of three stubs per vertex, drawn again until
+    it has no loop and no repeated edge."""
+    stubs = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(stubs)
+        edges = {(min(u, v), max(u, v))
+                 for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(edges) == len(stubs) // 2:
+            return Cubic(n, tuple(sorted(edges)))
 
 
 def extract(version: str, into: Path) -> Path:
@@ -92,11 +121,15 @@ def load(directory: Path, name: str):
     return package
 
 
-def workload_inputs(package, workload: str, seed: int,
-                    count: int) -> tuple[list, int]:
+def workload_inputs(package, workload: str, seed: int, count: int,
+                    vertices: int) -> tuple[list, int]:
     """The first ``count`` inputs of ``workload`` at ``seed`` and its solution
-    prefix per input, from ``perfbench/workloads.py``, which imports
-    ``chordalenum``: ``package`` stands in for it while the module loads."""
+    prefix per input.  A benchmark workload's come from
+    ``perfbench/workloads.py``, which imports ``chordalenum``: ``package``
+    stands in for it while the module loads."""
+    if workload == "scale_rs":
+        return [random_cubic(vertices, random.Random(f"{seed}/{index}"))
+                for index in range(count)], SCALE_PREFIX
     saved = {k: sys.modules.get(k) for k in ("chordalenum", "chordalenum.cli")}
     sys.modules["chordalenum"] = package
     sys.modules["chordalenum.cli"] = package.cli
@@ -129,8 +162,8 @@ def run_one(package, workload: str, inp, limit) -> tuple[float, str]:
     else:
         system = package.chordal_completion_system(
             package.Graph(inp.n, inp.edges))
-        search = (package.reverse_search if workload == "cubic14_rs"
-                  else package.visited_set_search)
+        search = (package.visited_set_search if workload == "cubic14_vs"
+                  else package.reverse_search)
         items = [f.mask for f in islice(search(system), limit)]
     elapsed = time.process_time() - start
     for item in items:
@@ -143,16 +176,20 @@ def main(argv=None) -> int:
     parser.add_argument("a", help="git revision or checkout path")
     parser.add_argument("b", help="git revision or checkout path")
     parser.add_argument("--workload", required=True, choices=sorted(INPUTS))
-    parser.add_argument("--inputs", type=int, default=None)
+    parser.add_argument("--inputs", type=positive, default=None)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--vertices", type=int, default=40,
+                        help="scale_rs graph size (even)")
     args = parser.parse_args(argv)
+    if args.vertices % 2 or args.vertices < 4:
+        parser.error("--vertices must be an even number, at least 4")
     count = args.inputs if args.inputs is not None else INPUTS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         packages = [load(extract(version, Path(tmp) / side),
                          f"chordalenum_ab_{side}")
                     for version, side in ((args.a, "a"), (args.b, "b"))]
         inputs, limit = workload_inputs(packages[0], args.workload,
-                                        args.seed, count)
+                                        args.seed, count, args.vertices)
         runs, differ = [], 0  # per input and side: its two times in order
         for index, inp in enumerate(inputs):
             times, digests = [[], []], [set(), set()]
@@ -169,7 +206,8 @@ def main(argv=None) -> int:
                       f"{sorted(db)} (B)")
             runs.append(times)
     totals = [sum(sum(t[side]) for t in runs) for side in (0, 1)]
-    print(f"{args.workload} seed {args.seed}: {len(inputs)} inputs, "
+    size = f" n={args.vertices}" if args.workload == "scale_rs" else ""
+    print(f"{args.workload}{size} seed {args.seed}: {len(inputs)} inputs, "
           f"limit {limit}; A {args.a}, B {args.b}")
     print(f"digests: {'identical' if not differ else f'{differ} differ'}")
     print(f"CPU s: A {totals[0]:.2f}, B {totals[1]:.2f}")
@@ -179,6 +217,14 @@ def main(argv=None) -> int:
         print(summary(f"{name} (second run over first)",
                       [tuple(t[side]) for t in runs]))
     return 1 if differ else 0
+
+
+def positive(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not at least 1")
+    return value
 
 
 def summary(label: str, pairs: list) -> str:
