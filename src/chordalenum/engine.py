@@ -27,14 +27,15 @@ needs no more: its walk only steps from proximities below ``i_f``, the
 scanning node's, and stops on reaching ``i_f``, so it reads
 ``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
 
-Where the system has a ``step_position``, ``reverse_search`` also keeps a
-path record of its current node: per step of the node's canonical path
-from the root, the ordering element the step flips, a bitmask of elements
-outside that probe's set, the step's neighbor position and whether the
-record up to that step is the canonical path of the probe it reaches,
-O(depth) ints.  The child test follows it along the candidate's ordering
-(``_follow``) and walks from the root only when that leaves a step open;
-a backtrack replays its positions (``_replay``), reading no ordering.
+Where the system has a ``step_position``, ``reverse_search`` also keeps
+two lists of O(depth) ints for its current node, with one entry per step
+from the root: a bitmask of elements outside that probe's set, the
+ordering element the step flips and the step's neighbor position.  Its
+path record is a path of proven steps to it, which the child test follows
+along the candidate's ordering (``_follow``), walking from the root only
+when that leaves a step open.  Its ancestor chain has one entry per tree
+edge: a backtrack replays the parent's chain (``_replay``), reading no
+ordering, and gives it to the parent as its record.
 """
 
 from __future__ import annotations
@@ -103,11 +104,12 @@ class SetSystem:
     outside that probe's set.  So does every element of a solution's own
     ordering (the chordal trace runs over the fill's complement), so the
     root's ordering widens the root's step.  A record entry is
-    ``(outside, s, k, canonical)``: the bitmask, the flipped element, the
-    step's neighbor position, and whether the entries up to this one are
-    the canonical path of the probe the step reaches.  Canonical paths are
-    not closed under prefixes, so a backtrack hands a parent its part of a
-    child's record only when that flag says so.
+    ``(outside, s, k)``: the bitmask, the flipped element and the step's
+    neighbor position.  A record need not be a canonical path, as the
+    verdicts hold along any path of such steps.  Canonical paths are not
+    closed under prefixes: on a child's record, the probe before the parent
+    need not be the parent's parent.  So the traversal also keeps the
+    ancestor chain, one entry per tree edge, which its backtracks replay.
 
     The engine reads neither ``next_step`` nor ``position_excludes``.  The
     fields stay only because ``perfbench/tracing.py`` wraps them by name;
@@ -145,7 +147,9 @@ class TraversalStats:
     ``held_backtracks`` the backtracks to a held parent, which take no
     walk, so ``backtrack_walks + held_backtracks`` is the number of
     backtracks.  Neither costs a successor call, so neither is a work
-    counter, and ``as_dict`` leaves them out.  With ``record_gaps`` the
+    counter, and ``as_dict`` leaves them out.  In a system with a
+    ``step_position`` every backtrack walk is a replay of the ancestor
+    chain; only the generic fallback walks toward an ordering.  With ``record_gaps`` the
     per-emission deltas of the work counters are kept in ``gap_<counter>``
     lists, which is what the delay-structure assertions read.
     """
@@ -295,9 +299,11 @@ def _follow(record: list, head: Sequence, k: int,
     ordering of a candidate cut after position ``i_f = len(head) - 1``, f's
     proximity toward it; ``k`` is the position of f's step toward it.
 
-    The record is a path of steps from the root to f.  A step
-    ``(outside, s, k_t, canonical)`` leaves its probe by flipping element
-    ``s``, and the bits of ``outside`` lie outside the probe's set.  At each
+    The record is a path of steps from the root to f, canonical or not: a
+    descent gives f its canonical path, a backtrack its ancestor chain.  A
+    step ``(outside, s, k_t)`` leaves its probe by flipping element ``s``,
+    at neighbor position ``k_t``, and the bits of ``outside`` lie outside
+    the probe's set.  At each
     probe the root walk toward the candidate scans ``head`` on from the
     position its last step flipped (see ``SetSystem`` for what that takes):
     skipping bits of ``outside`` and meeting ``s`` proves that it takes the
@@ -308,13 +314,13 @@ def _follow(record: list, head: Sequence, k: int,
     the walk stops short, None when a step is open, and else the candidate's
     record: the steps followed, each widened by the elements scanned before
     it (they lie outside the probe's set, as the path is now the candidate's
-    canonical path) and keeping its flag, then f's own step, which ends the
-    candidate's canonical path.  ``head`` holds the elements that the
+    canonical path), then f's own step, which ends the candidate's
+    canonical path.  ``head`` holds the elements that the
     proximity query toward f already computed.
     """
     i_f = len(head) - 1
     steps, seen, pos = [], 0, 0
-    for outside, s, k_t, canonical in record:
+    for outside, s, k_t in record:
         while pos < i_f and (e := head[pos]) != s:
             if not outside >> e & 1 and (steps or not root_outside() >> e & 1):
                 return None
@@ -322,30 +328,23 @@ def _follow(record: list, head: Sequence, k: int,
             pos += 1
         if pos == i_f:
             return False
-        steps.append((outside | seen, s, k_t, canonical))
+        steps.append((outside | seen, s, k_t))
         seen |= 1 << s
         pos += 1
-    steps.append((_prefix_mask(head, pos, i_f, seen), head[i_f], k, True))
+    steps.append((_prefix_mask(head, pos, i_f, seen), head[i_f], k))
     return steps
 
 
-def _walked_record(walk: Iterable, head: Sequence, k: int,
-                   record: Optional[list]) -> list:
+def _walked_record(walk: Iterable, head: Sequence, k: int) -> list:
     """The path record of a child from its check walk, which reached the
     scanning node f: ``walk`` holds each probe's proximity and the position
     of the step out of it but the last, ``head`` the child's ordering up to
-    f's proximity, ``k`` the position of f's step to the child and
-    ``record`` f's own record or None.  An entry is canonical while the
-    walk's steps agree with ``record``'s and that entry is; the last, f's
-    step, always is, as the walk followed the child's canonical path."""
+    f's proximity and ``k`` the position of f's step to the child."""
     steps, seen, pos = [], 0, 0
-    agree = record is not None
-    for t, (i, k_t) in enumerate(walk):
+    for i, k_t in walk:
         seen, pos = _prefix_mask(head, pos, i, seen), i
-        agree = agree and t < len(record) and record[t][2] == k_t
-        steps.append((seen, head[i], k_t, agree and record[t][3]))
-    steps.append((_prefix_mask(head, pos, len(head) - 1, seen), head[-1], k,
-                  True))
+        steps.append((seen, head[i], k_t))
+    steps.append((_prefix_mask(head, pos, len(head) - 1, seen), head[-1], k))
     return steps
 
 
@@ -424,7 +423,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
         stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
     return cand, order, (None if head is None else _walked_record(
-        zip(proximities, positions), head, k, record))
+        zip(proximities, positions), head, k))
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
@@ -448,56 +447,56 @@ def children(system: SetSystem, f: Any) -> list:
                                           None, [])]
 
 
-def _replay(system: SetSystem, record: list, held: list,
+def _replay(system: SetSystem, chain: list, held: list,
             stats: TraversalStats) -> Any:
-    """The parent of the node whose path record is ``record``: the probe
-    that the record's steps but the last reach by ``neighbor_at`` at their
-    positions, reading no ordering.  When the record up to the parent is
-    the parent's canonical path, the probe before the parent is the
-    parent's parent, and it becomes the held parent, its owner still to be
-    found below the position of its step."""
+    """The node whose ancestor chain is ``chain``: the probe that the
+    chain's steps reach from the root by ``neighbor_at`` at their
+    positions, reading no ordering.  The probe before it, its parent,
+    becomes the held parent, its owner still to be found below the position
+    of its step."""
     probe = system.root
-    for t, (_, _, k, canonical) in enumerate(record[:-1]):
-        if canonical and t == len(record) - 2:
-            held[:] = probe, None, k
+    for _, _, k in chain:
+        held[:] = probe, None, k
         probe = system.neighbor_at(probe, k)
         stats.walk_steps += 1
     return probe
 
 
 def _backtrack(system: SetSystem, node: Any, order: Optional[Sequence],
-               record: Optional[list], held: list, stats: TraversalStats
+               chain: Optional[list], held: list, stats: TraversalStats
                ) -> tuple[Any, int, Optional[list]]:
     """The parent of ``node``, the scan position that resumes it (one past
     the position owning ``node``) and the parent's path record.
 
-    A held parent takes no walk: its owner is the descent's scan position,
-    or found below the position of its step.  Else a path record is
-    replayed (``_replay``), and without one the walk from the root toward
-    ``node``'s ordering (``order``, when the child test that descended to
-    ``node`` built it) finds the parent.  The last step's position bounds
-    the owner, as it produces ``node``.  The parent keeps ``record[:-1]``
-    when that is its canonical path: the root's, or as the flag says.
+    ``chain`` is ``node``'s ancestor chain, one entry per tree edge from
+    the root, or None without a ``step_position``; its last entry is popped
+    and the rest, the parent's chain, is the parent's record.  A held
+    parent takes no walk: its owner is the descent's scan position, or
+    found below the position of its step.  Else the parent's chain is
+    replayed (``_replay``), which holds the grandparent, and without a
+    chain the walk from the root toward ``node``'s ordering (``order``,
+    when the child test that descended to ``node`` built it) finds the
+    parent.  The last step's position bounds the owner, as it produces
+    ``node``.
     """
+    bound = None if chain is None else chain.pop()[2]
     if held:
         stats.held_backtracks += 1
         up, owner, bound = held
         held.clear()
         if owner is None:
             owner = _first_position(system, up, node, bound, stats, held)
+        return up, owner + 1, chain
+    stats.backtrack_walks += 1
+    stats.note_retained(3)
+    if chain is not None:
+        up = _replay(system, chain, held, stats)
     else:
-        stats.backtrack_walks += 1
-        stats.note_retained(3)
-        if record is not None:
-            up, bound = _replay(system, record, held, stats), record[-1][2]
-        else:
-            if order is None:
-                stats.orderings += 1
-                order = system.ordering(node)
-            up, bound = _parent_step(system, node, order, stats)
-        owner = _first_position(system, up, node, bound, stats, held)
-    kept = record is not None and (len(record) == 1 or record[-2][3])
-    return up, owner + 1, record[:-1] if kept else None
+        if order is None:
+            stats.orderings += 1
+            order = system.ordering(node)
+        up, bound = _parent_step(system, node, order, stats)
+    return up, _first_position(system, up, node, bound, stats, held) + 1, chain
 
 
 def reverse_search(system: SetSystem,
@@ -514,22 +513,25 @@ def reverse_search(system: SetSystem,
 
     The traversal's whole state is the current node, its depth parity, the
     neighbor position its scan resumes at, its ordering when the child
-    test that descended to it built one, its path record when the system
-    has a ``step_position``, the held parent and, once a child test needs
-    it, the set of elements outside the root's, read from the root's
-    ordering.  The record holds, per step of the node's canonical path from
-    the root, the ordering element the step flips, a bitmask of elements
-    outside that probe's fill, the step's neighbor position and a flag,
-    O(depth) ints in all (see ``_follow``).  The child test follows the
-    record before it walks.  The root's record is empty, and a descent
-    gives the child its record; a backtrack gives the parent the child's
-    record but its last step when the flags show it is the parent's
-    canonical path, else none, and then the parent's child tests walk.
+    test that descended to it built one, its path record and ancestor chain
+    when the system has a ``step_position``, the held parent and, once a
+    child test needs it, the set of elements outside the root's, read from
+    the root's ordering.  Record and chain hold, per step from the root, a
+    bitmask of elements outside that probe's fill, the ordering element
+    the step flips and the step's neighbor position: O(depth) ints each
+    (see ``_follow``).  The child test follows the record before it walks.
+    The root's record and chain are empty.  A descent gives the child the
+    record of its canonical path and appends that record's last step, the
+    tree edge to the child, to the chain.  A backtrack pops the chain and
+    gives the parent its chain as its record: canonical paths are not
+    closed under prefixes, so the child's record without its last step may
+    pass the parent's parent by, while the chain never does.
 
     A descent holds the node it leaves, with the descent's position as its
-    owner, and a record replay holds the parent's parent when the parent's
-    record is canonical; a backtrack to a held parent takes no walk (see
-    ``_backtrack``).  A child test that must evaluate a third solution
+    owner, and a chain replay holds the parent's parent; a backtrack to a
+    held parent takes no walk (see ``_backtrack``).  So a system with a
+    ``step_position`` never walks toward an ordering to backtrack.  A child
+    test that must evaluate a third solution
     drops the held parent first, and a check walk gives up the candidate
     instead.  Each step takes one child from a fresh scan and drops the
     scan: a scan held per level would be a stack of solutions.
@@ -537,7 +539,8 @@ def reverse_search(system: SetSystem,
     if stats is None:
         stats = TraversalStats()
     current, odd, j, order = system.root, False, 0, None
-    record = None if system.step_position is None else []
+    chain = None if system.step_position is None else []
+    record = chain  # the root's record and chain are both empty
     held = []  # the held parent, its owner position, or None and a bound
     root_out = None  # read from the root's ordering once a test needs it
 
@@ -558,6 +561,8 @@ def reverse_search(system: SetSystem,
         if found is not None:
             held[:] = current, found[0], None
             _, current, order, record = found
+            if chain is not None:
+                chain.append(record[-1])
             odd, j = not odd, 0
             if not odd:
                 stats.note_emission()
@@ -569,7 +574,7 @@ def reverse_search(system: SetSystem,
             yield current
         if current == system.root:
             return
-        current, j, record = _backtrack(system, current, order, record, held,
+        current, j, record = _backtrack(system, current, order, chain, held,
                                         stats)
         odd, order = not odd, None
 

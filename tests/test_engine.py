@@ -492,7 +492,10 @@ def test_reverse_search_work_counters_are_frozen():
     # backtrack walks or returns to the held parent.  On the first 100
     # solutions of a relabelled cubic14, records that skip every element
     # outside the root's set at the root's step settle 35 child tests that
-    # walked before (78 check walks), for one more ordering, the root's.
+    # walked before (78 check walks), for one more ordering, the root's;
+    # handing each parent its ancestor chain at a backtrack, and holding
+    # the grandparent at every replay, settle 20 more (43 check walks) and
+    # cut backtrack walks 51 -> 42 and walk steps 735 -> 524.
     cases = [
         (chordal_completion_system(helpers.cycle_graph(7)), None,
          (42, 168, 164, 0, 18, 28, 3), 164, 41),
@@ -501,7 +504,7 @@ def test_reverse_search_work_counters_are_frozen():
         (helpers.subset_swap_system(6, 3), None,
          (20, 791, 176, 81, 19, 63, 3), 81, 19),
         (chordal_completion_system(_relabelled_cubic14(11)), 100,
-         (100, 2187, 2186, 43, 51, 735, 3), 1050, 95),
+         (100, 2189, 2166, 23, 42, 524, 3), 1050, 95),
     ]
     names = ("solutions", "neighbor_evals", "orderings", "check_walks",
              "backtrack_walks", "walk_steps", "peak_retained")
@@ -648,13 +651,11 @@ def _assert_canonical_record(system: SetSystem, node, record, order=None):
     # that its proximity toward node's ordering names, flipping the ordering
     # element there; its bitmask holds none of the probe's fill and, along
     # ``order`` (the ordering the record was built along, when known), every
-    # element before the probe's proximity.  A step flagged canonical ends
-    # the canonical path of the probe it reaches, and the last step does.
+    # element before the probe's proximity.
     path = canonical_path(system, node)
     own = system.ordering(node)
     assert len(record) == len(path) - 1
-    for t, (probe, (outside, s, k, canonical)) in enumerate(zip(path,
-                                                                record)):
+    for probe, (outside, s, k) in zip(path, record):
         i = system.proximity(probe, own, 0)
         assert (s, k) == (own.element(i), system.step_position(probe, own, i))
         assert not outside & probe.mask
@@ -662,18 +663,39 @@ def _assert_canonical_record(system: SetSystem, node, record, order=None):
             prefix = sum(1 << e for e in order[:system.proximity(probe, order,
                                                                  0)])
             assert outside & prefix == prefix
-        if canonical:
-            assert canonical_path(system, path[t + 1]) == path[:t + 2]
-    assert not record or record[-1][3]
+
+
+def _assert_ancestor_chain(system: SetSystem, node, chain):
+    # Replaying the chain's positions from the root visits the tree path to
+    # node: each step lands on a solution whose parent() is the probe it
+    # left.  Each entry flips the fill edge at its position, and its bitmask
+    # misses the probe's fill.
+    probe = system.root
+    for outside, s, k in chain:
+        assert not outside & probe.mask
+        assert probe.mask >> s & 1
+        assert (probe.mask & ((1 << s) - 1)).bit_count() == k
+        step = system.neighbor_at(probe, k)
+        assert parent(system, step) == probe
+        probe = step
+    assert probe == node
 
 
 def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
     # A child test that the scanning node's path record settles gets the
     # verdict of the walk from the root; every child the traversal descends
     # to carries the record of its canonical path; and the emissions are
-    # those of a traversal whose child tests always walk.
+    # those of a traversal whose child tests always walk.  Some verdicts
+    # come from an ancestor chain that a backtrack handed its parent, a
+    # record that need not be a canonical path.
     real = chordalenum.engine._is_child
+    real_backtrack = chordalenum.engine._backtrack
     outcomes = collections.Counter()
+    handed = [None]  # the record the last backtrack handed its parent
+
+    def backtrack(*args):
+        up, j, handed[0] = real_backtrack(*args)
+        return up, j, handed[0]
 
     def checked(system, f, j, stats, record, held, root_outside):
         verdicts, walks = stats.record_verdicts, stats.check_walks
@@ -682,6 +704,8 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
             walked = real(system, f, j, TraversalStats(), None, [])
             assert (found is None) == (walked is None)
             outcomes["child" if found else "not a child"] += 1
+            if record and record is handed[0]:
+                outcomes["by a chain"] += 1
         elif record is not None and stats.check_walks > walks:
             outcomes["open"] += 1
         if found is not None:
@@ -692,6 +716,7 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
     def walking(system, f, j, stats, record, held, root_outside):
         return real(system, f, j, stats, None, held)
 
+    monkeypatch.setattr(chordalenum.engine, "_backtrack", backtrack)
     rng = random.Random(196418)
     graphs = [helpers.random_graph_at_most(rng, rng.randint(4, 11), 14)
               for _ in range(30)]
@@ -705,7 +730,8 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
             runs.append([f.mask for _, f in zip(range(limit or 10**9),
                                                 search)])
         assert runs[0] == runs[1]
-    assert min(outcomes[k] for k in ("child", "not a child", "open")) > 0
+    assert min(outcomes[k] for k in ("child", "not a child", "open",
+                                     "by a chain")) > 0, outcomes
 
 
 def _owner_corpus():
@@ -749,39 +775,50 @@ def test_owner_query_names_every_producing_position():
 
 
 def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
-    # Each backtrack, held, replayed from the path record or walked from the
-    # ordering, lands on parent() and resumes one past the position that
-    # owns the node it leaves; a record it hands the parent is the parent's
-    # canonical path.  A traversal whose every backtrack walks from the
-    # ordering and that holds no parent emits the same sequence and settles
-    # the same child tests by records and by check walks, walking more.
+    # Each backtrack, held, replayed from the ancestor chain or, in a system
+    # without a step_position, walked from the ordering, lands on parent()
+    # and resumes one past the position that owns the node it leaves.  A
+    # system with a step_position never walks toward an ordering to
+    # backtrack (_parent_step raises there), and the record a backtrack
+    # hands the parent is its ancestor chain.  A traversal that holds no
+    # parent emits the same sequence and settles the same child tests by
+    # records and by check walks, walking more.
     real_backtrack = chordalenum.engine._backtrack
     real_is_child = chordalenum.engine._is_child
+    real_parent_step = chordalenum.engine._parent_step
     kinds = collections.Counter()
+    backtracking = [False]
 
-    def checked(system, node, order, record, held, stats):
+    def parent_step(system, f, order, stats):
+        assert not (backtracking[0] and system.step_position is not None), \
+            "a backtrack walked toward an ordering"
+        return real_parent_step(system, f, order, stats)
+
+    def checked(system, node, order, chain, held, stats):
         before = stats.held_backtracks
-        up, j, kept = real_backtrack(system, node, order, record, held, stats)
+        backtracking[0] = True
+        up, j, record = real_backtrack(system, node, order, chain, held,
+                                       stats)
+        backtracking[0] = False
         kinds["held" if stats.held_backtracks > before else
-              "walk" if record is None else "replay"] += 1
+              "walk" if chain is None else "replay"] += 1
         assert up == parent(system, node)
         assert j - 1 == helpers.first_position_by_scan(
             system, up, node, system.neighbor_count(up))
-        if kept is not None:
-            _assert_canonical_record(system, up, kept)
-        return up, j, kept
+        assert (record is None) == (system.step_position is None)
+        if record is not None:
+            _assert_ancestor_chain(system, up, record)
+        return up, j, record
 
-    def walking(system, node, order, record, held, stats):
+    def holding_none_backtrack(system, node, order, chain, held, stats):
         held.clear()
-        _, _, kept = real_backtrack(system, node, order, record, [],
-                                    TraversalStats())
-        up, j, _ = real_backtrack(system, node, order, None, held, stats)
-        return up, j, kept
+        return checked(system, node, order, chain, held, stats)
 
     def holding_none(system, f, j, stats, record, held, root_outside):
         return real_is_child(system, f, j, stats, record, [], root_outside)
 
-    # Relabelling 56 returns early on to a held parent that the record
+    monkeypatch.setattr(chordalenum.engine, "_parent_step", parent_step)
+    # Relabelling 56 returns early on to a held parent that the chain
     # replay held and whose owner lies below the position of its step.
     runs = [_owner_corpus(), [chordal_completion_system(_relabelled_cubic14(s))
                               for s in (0, 1, 56)]]
@@ -789,7 +826,8 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
         for system in systems:
             results = []
             for backtrack, is_child in ((checked, real_is_child),
-                                        (walking, holding_none)):
+                                        (holding_none_backtrack,
+                                         holding_none)):
                 monkeypatch.setattr(chordalenum.engine, "_backtrack",
                                     backtrack)
                 monkeypatch.setattr(chordalenum.engine, "_is_child", is_child)
@@ -913,12 +951,13 @@ def test_walk_counts_at_forty_vertices_are_frozen():
     # The benchmark's instances have 14 vertices; this guards the walk
     # counts of the first 30 solutions of a 40-vertex cubic graph, where
     # walks are longer: 5,615 steps and 942 check walks when every child
-    # test walked.  A change that alters them on purpose updates them.
+    # test walked, 2,330 steps before backtracks replayed the ancestor
+    # chain.  A change that alters them on purpose updates them.
     stats = TraversalStats()
     search = reverse_search(chordal_completion_system(Graph(40, CUBIC40_EDGES)),
                             stats)
     fills = [f.fill_edges for _, f in zip(range(30), search)]
     digest = hashlib.sha256(repr(fills).encode()).hexdigest()[:16]
     assert (stats.solutions, stats.walk_steps, stats.check_walks,
-            stats.record_verdicts) == (30, 2330, 69, 873)
+            stats.record_verdicts) == (30, 2215, 69, 873)
     assert digest == "072c727d1b13ce00"
