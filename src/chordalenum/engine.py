@@ -149,9 +149,10 @@ class TraversalStats:
     backtracks.  Neither costs a successor call, so neither is a work
     counter, and ``as_dict`` leaves them out.  In a system with a
     ``step_position`` every backtrack walk is a replay of the ancestor
-    chain; only the generic fallback walks toward an ordering.  With ``record_gaps`` the
-    per-emission deltas of the work counters are kept in ``gap_<counter>``
-    lists, which is what the delay-structure assertions read.
+    chain; only the generic fallback walks toward an ordering.  With
+    ``record_gaps`` the per-emission deltas of the work counters are kept
+    in ``gap_<counter>`` lists, which is what the delay-structure
+    assertions read.
     """
 
     __slots__ = ("solutions", *_COUNTERS, "record_verdicts",
@@ -303,20 +304,20 @@ def _follow(record: list, head: Sequence, k: int,
     descent gives f its canonical path, a backtrack its ancestor chain.  A
     step ``(outside, s, k_t)`` leaves its probe by flipping element ``s``,
     at neighbor position ``k_t``, and the bits of ``outside`` lie outside
-    the probe's set.  At each
-    probe the root walk toward the candidate scans ``head`` on from the
-    position its last step flipped (see ``SetSystem`` for what that takes):
-    skipping bits of ``outside`` and meeting ``s`` proves that it takes the
-    same step; reaching ``i_f`` first proves that it stops at that probe,
-    short of f; any other element leaves the step open.  At the root's step
+    the probe's set.  At each probe the root walk toward the candidate
+    scans ``head`` on from the position its last step flipped (see
+    ``SetSystem`` for what that takes): skipping bits of ``outside`` and
+    meeting ``s`` proves that it takes the same step; reaching ``i_f``
+    first proves that it stops at that probe, short of f; any other element
+    leaves the step open.  At the root's step
     the scan also skips the bits of ``root_outside()``, the elements outside
     the root's set, which a traversal computes once.  Returns False when
     the walk stops short, None when a step is open, and else the candidate's
     record: the steps followed, each widened by the elements scanned before
     it (they lie outside the probe's set, as the path is now the candidate's
     canonical path), then f's own step, which ends the candidate's
-    canonical path.  ``head`` holds the elements that the
-    proximity query toward f already computed.
+    canonical path.  ``head`` holds the elements that the proximity query
+    toward f already computed.
     """
     i_f = len(head) - 1
     steps, seen, pos = [], 0, 0
@@ -531,10 +532,10 @@ def reverse_search(system: SetSystem,
     owner, and a chain replay holds the parent's parent; a backtrack to a
     held parent takes no walk (see ``_backtrack``).  So a system with a
     ``step_position`` never walks toward an ordering to backtrack.  A child
-    test that must evaluate a third solution
-    drops the held parent first, and a check walk gives up the candidate
-    instead.  Each step takes one child from a fresh scan and drops the
-    scan: a scan held per level would be a stack of solutions.
+    test that must evaluate a third solution drops the held parent first,
+    and a check walk gives up the candidate instead.  Each step takes one
+    child from a fresh scan and drops the scan: a scan held per level would
+    be a stack of solutions.
     """
     if stats is None:
         stats = TraversalStats()
