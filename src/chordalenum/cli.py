@@ -57,11 +57,13 @@ def parse_graph_input(text: str, input_format: str = "auto"
     ``auto`` picks dimacs when a ``p`` header line is present: one whose
     first token is ``p`` and which does not have the two tokens of an
     edge-list line (so a vertex may be labelled ``p``).
+    One leading byte-order mark (U+FEFF) is dropped, so a file saved with
+    one reads the same from a path, from stdin and from ``RunConfig.text``.
     """
     parse = INPUT_FORMATS.get(input_format)
     if parse is None:
         raise GraphInputError(f"unknown input format {input_format!r}")
-    return parse(text)
+    return parse(text.removeprefix("\ufeff"))
 
 
 def _parse_auto(text: str) -> tuple[Graph, tuple[str, ...]]:

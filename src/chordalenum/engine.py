@@ -11,8 +11,8 @@ traversal retains only a constant number of solutions at a time: the
 current node, the candidate child or a walk probe, and the held parent.
 
 The canonical walk is written once, in ``_path``: ``canonical_path``,
-``next_toward``, ``parent``, the backtrack and the child test's check walk
-all read from it.  The neighbor scan is written once, in the generator
+``next_toward``, ``parent`` and the child test's check walk all read from
+it.  The neighbor scan is written once, in the generator
 ``_children``: ``children`` reads all of it, and ``reverse_search`` takes
 one child at a time from a fresh scan.
 
@@ -27,15 +27,17 @@ needs no more: its walk only steps from proximities below ``i_f``, the
 scanning node's, and stops on reaching ``i_f``, so it reads
 ``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
 
-Where the system has a ``step_position``, ``reverse_search`` also keeps
-two lists of O(depth) ints for its current node, with one entry per step
-from the root: a bitmask of elements outside that probe's set, the
-ordering element the step flips and the step's neighbor position.  Its
+``reverse_search`` also keeps two lists of O(depth) ints for its current
+node, with one entry per step from the root: a bitmask of elements outside
+that probe's set, the ordering element the step flips and the step's
+neighbor position.  Its ancestor chain has one entry per tree edge: every
+backtrack, in every system, returns to the held parent or replays the
+parent's chain (``_replay``), reading no ordering, so no ordering is
+carried from node to node.  Where the system has a ``step_position``, its
 path record is a path of proven steps to it, which the child test follows
 along the candidate's ordering (``_follow``), walking from the root only
-when that leaves a step open.  Its ancestor chain has one entry per tree
-edge: a backtrack replays the parent's chain (``_replay``), reading no
-ordering, and gives it to the parent as its record.
+when that leaves a step open; a backtrack gives the parent its chain as
+its record.  Without one, an entry holds only the step's position.
 """
 
 from __future__ import annotations
@@ -147,9 +149,9 @@ class TraversalStats:
     ``held_backtracks`` the backtracks to a held parent, which take no
     walk, so ``backtrack_walks + held_backtracks`` is the number of
     backtracks.  Neither costs a successor call, so neither is a work
-    counter, and ``as_dict`` leaves them out.  In a system with a
-    ``step_position`` every backtrack walk is a replay of the ancestor
-    chain; only the generic fallback walks toward an ordering.  With
+    counter, and ``as_dict`` leaves them out.  Every backtrack walk is a
+    replay of the ancestor chain, which builds no ordering, so
+    ``orderings`` counts the child tests' orderings and the root's.  With
     ``record_gaps`` the per-emission deltas of the work counters are kept
     in ``gap_<counter>`` lists, which is what the delay-structure
     assertions read.
@@ -254,20 +256,13 @@ def canonical_path(system: SetSystem, target: Any) -> list:
         TraversalStats())]
 
 
-def _parent_step(system: SetSystem, f: Any, order: Sequence,
-                 stats: TraversalStats) -> tuple[Any, int]:
-    """The parent of ``f`` and the neighbor position of its step to ``f``,
-    from a walk that holds one probe at a time; ``f`` is not the root."""
-    (up, _, _), (_, _, k) = deque(
-        _path(system, system.root, f, order, stats), maxlen=2)
-    return up, k
-
-
 def parent(system: SetSystem, f: Any) -> Any:
-    """The next-to-last solution on the canonical path to ``f``."""
+    """The next-to-last solution on the canonical path to ``f``, from a walk
+    that holds one probe at a time."""
     if f == system.root:
         raise ValueError("the root solution has no parent")
-    return _parent_step(system, f, system.ordering(f), TraversalStats())[0]
+    return deque(_path(system, system.root, f, system.ordering(f),
+                       TraversalStats()), maxlen=2)[0][0]
 
 
 def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
@@ -352,11 +347,11 @@ def _walked_record(walk: Iterable, head: Sequence, k: int) -> list:
 def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
               record: Optional[list], held: list,
               root_outside: Callable[[], int] = lambda: 0
-              ) -> Optional[tuple[Any, Sequence, Optional[list]]]:
-    """The neighbor of ``f`` at position ``j`` with its ordering and path
-    record if it is a child of ``f`` in the arborescence owned by that
-    position, else None.  ``held`` is the traversal's held parent, if any:
-    a test that needs its slot drops it.
+              ) -> Optional[tuple[Any, list]]:
+    """The neighbor of ``f`` at position ``j`` with its path record if it is
+    a child of ``f`` in the arborescence owned by that position, else None.
+    ``held`` is the traversal's held parent, if any: a test that needs its
+    slot drops it.  The candidate's ordering is built here and dropped.
 
     ``f`` is the parent iff the canonical step out of ``f`` toward the
     candidate lands on it and ``f`` lies on the canonical path; position
@@ -366,9 +361,10 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     construction; above ``j`` one neighbor evaluation settles it.  Only a
     landing step pays for the first-occurrence scan and the path test.
 
-    The path test follows ``record``, ``f``'s path record (see
-    ``_follow``, which reads ``root_outside``), and walks from the root
-    only when a step stays open or ``f`` has no record.  The check walk
+    In a system with a ``step_position`` the path test follows ``record``,
+    ``f``'s path record (see ``_follow``, which reads ``root_outside``),
+    and walks from the root only when a step stays open or ``f`` has no
+    record; without one it always walks.  The check walk
     stops on meeting ``f`` or on overtaking its proximity ``i_f``, since
     proximity strictly increases along the path.  Every step it takes
     starts below ``i_f``, so it reads only ``order[:i_f + 1]``: a probe's
@@ -376,8 +372,9 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     same way, and the candidate's own is ``i_f + 1``, so the walk needs no
     candidate in hand.  With a parent held, it gives up the candidate's
     slot and recomputes a child it finds.  A child found by the walk takes
-    the walk's steps as its record (``_walked_record``); a system without
-    ``step_position`` gets no records.
+    the walk's steps as its record (``_walked_record``).  In a system
+    without ``step_position`` a child's record is the one entry of its tree
+    edge, ``(0, None, k)``, which only the ancestor chain reads.
     """
     stats.neighbor_evals += 1
     cand = system.neighbor_at(f, j)
@@ -400,13 +397,13 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
             return None
     if _first_position(system, f, cand, j, stats, held) < j:
         return None
-    # Only a system with a step_position has records.
+    # Only a system with a step_position has records to follow.
     head = None if system.step_position is None else tuple(order[:i_f + 1])
-    if record is not None:
+    if head is not None and record is not None:
         steps = _follow(record, head, k, root_outside)
         if steps is not None:
             stats.record_verdicts += 1
-            return (cand, order, steps) if steps else None
+            return (cand, steps) if steps else None
     stats.check_walks += 1
     stats.note_retained(3)
     cand = None if held else cand
@@ -423,18 +420,18 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     if cand is None:
         stats.neighbor_evals += 1
         cand = system.neighbor_at(f, j)
-    return cand, order, (None if head is None else _walked_record(
+    return cand, ([(0, None, k)] if head is None else _walked_record(
         zip(proximities, positions), head, k))
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
               record: Optional[list], held: list,
               root_outside: Callable[[], int] = lambda: 0
-              ) -> Iterator[tuple[int, Any, Sequence, Optional[list]]]:
+              ) -> Iterator[tuple[int, Any, list]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
-    order, each as its position, the child, the child's ordering and its
-    path record, given ``f``'s ``record`` and the held parent (see
-    ``_is_child``).  The root is never anyone's child."""
+    order, each as its position, the child and its path record, given
+    ``f``'s ``record`` and the held parent (see ``_is_child``).  The root
+    is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
         found = _is_child(system, f, j, stats, record, held, root_outside)
         if found is not None:
@@ -444,8 +441,8 @@ def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
 def children(system: SetSystem, f: Any) -> list:
     """The children of ``f`` in the arborescence, in scan order; a child
     appears once, at the smallest neighbor position producing it."""
-    return [c for _, c, _, _ in _children(system, f, 0, TraversalStats(),
-                                          None, [])]
+    return [c for _, c, _ in _children(system, f, 0, TraversalStats(), None,
+                                       [])]
 
 
 def _replay(system: SetSystem, chain: list, held: list,
@@ -453,51 +450,42 @@ def _replay(system: SetSystem, chain: list, held: list,
     """The node whose ancestor chain is ``chain``: the probe that the
     chain's steps reach from the root by ``neighbor_at`` at their
     positions, reading no ordering.  The probe before it, its parent,
-    becomes the held parent, its owner still to be found below the position
-    of its step."""
+    becomes the held parent, its owner still to be found."""
     probe = system.root
     for _, _, k in chain:
-        held[:] = probe, None, k
+        held[:] = probe, None
         probe = system.neighbor_at(probe, k)
         stats.walk_steps += 1
     return probe
 
 
-def _backtrack(system: SetSystem, node: Any, order: Optional[Sequence],
-               chain: Optional[list], held: list, stats: TraversalStats
-               ) -> tuple[Any, int, Optional[list]]:
+def _backtrack(system: SetSystem, node: Any, chain: list, held: list,
+               stats: TraversalStats) -> tuple[Any, int, list]:
     """The parent of ``node``, the scan position that resumes it (one past
     the position owning ``node``) and the parent's path record.
 
     ``chain`` is ``node``'s ancestor chain, one entry per tree edge from
-    the root, or None without a ``step_position``; its last entry is popped
-    and the rest, the parent's chain, is the parent's record.  A held
-    parent takes no walk: its owner is the descent's scan position, or
-    found below the position of its step.  Else the parent's chain is
-    replayed (``_replay``), which holds the grandparent, and without a
-    chain the walk from the root toward ``node``'s ordering (``order``,
-    when the child test that descended to ``node`` built it) finds the
-    parent.  The last step's position bounds the owner, as it produces
-    ``node``.
+    the root; its last entry is popped and the rest, the parent's chain, is
+    the parent's record.  A held parent takes no walk; else the parent's
+    chain is replayed (``_replay``), which holds the grandparent.  Replay
+    is sound in every system: the chain's positions are canonical step
+    positions and ``neighbor_at`` is deterministic in its position.  The
+    owner of ``node`` is the descent's scan position when the parent was
+    held by it, else found below the popped step's position, which
+    produces ``node``.
     """
-    bound = None if chain is None else chain.pop()[2]
+    bound = chain.pop()[2]
     if held:
         stats.held_backtracks += 1
-        up, owner, bound = held
+        up, owner = held
         held.clear()
-        if owner is None:
-            owner = _first_position(system, up, node, bound, stats, held)
-        return up, owner + 1, chain
-    stats.backtrack_walks += 1
-    stats.note_retained(3)
-    if chain is not None:
-        up = _replay(system, chain, held, stats)
     else:
-        if order is None:
-            stats.orderings += 1
-            order = system.ordering(node)
-        up, bound = _parent_step(system, node, order, stats)
-    return up, _first_position(system, up, node, bound, stats, held) + 1, chain
+        stats.backtrack_walks += 1
+        stats.note_retained(3)
+        up, owner = _replay(system, chain, held, stats), None
+    if owner is None:
+        owner = _first_position(system, up, node, bound, stats, held)
+    return up, owner + 1, chain
 
 
 def reverse_search(system: SetSystem,
@@ -513,36 +501,35 @@ def reverse_search(system: SetSystem,
     walk, and the held parent.
 
     The traversal's whole state is the current node, its depth parity, the
-    neighbor position its scan resumes at, its ordering when the child
-    test that descended to it built one, its path record and ancestor chain
-    when the system has a ``step_position``, the held parent and, once a
-    child test needs it, the set of elements outside the root's, read from
-    the root's ordering.  Record and chain hold, per step from the root, a
-    bitmask of elements outside that probe's fill, the ordering element
-    the step flips and the step's neighbor position: O(depth) ints each
-    (see ``_follow``).  The child test follows the record before it walks.
-    The root's record and chain are empty.  A descent gives the child the
-    record of its canonical path and appends that record's last step, the
-    tree edge to the child, to the chain.  A backtrack pops the chain and
-    gives the parent its chain as its record: canonical paths are not
-    closed under prefixes, so the child's record without its last step may
-    pass the parent's parent by, while the chain never does.
+    neighbor position its scan resumes at, its path record and ancestor
+    chain, the held parent and, once a child test needs it, the set of
+    elements outside the root's, read from the root's ordering; no
+    ordering is carried from node to node.  Record and chain hold, per
+    step from the root, a bitmask of elements outside that probe's fill,
+    the ordering element the step flips and the step's neighbor position:
+    O(depth) ints each (see ``_follow``; without a ``step_position`` an
+    entry is ``(0, None, k)``).  The child test follows the record before
+    it walks.  The root's record and chain are empty.  A descent gives the
+    child the record of its canonical path and appends that record's last
+    step, the tree edge to the child, to the chain.  A backtrack pops the
+    chain and gives the parent its chain as its record: canonical paths
+    are not closed under prefixes, so the child's record without its last
+    step may pass the parent's parent by, while the chain never does.
 
     A descent holds the node it leaves, with the descent's position as its
     owner, and a chain replay holds the parent's parent; a backtrack to a
-    held parent takes no walk (see ``_backtrack``).  So a system with a
-    ``step_position`` never walks toward an ordering to backtrack.  A child
-    test that must evaluate a third solution drops the held parent first,
-    and a check walk gives up the candidate instead.  Each step takes one
-    child from a fresh scan and drops the scan: a scan held per level would
-    be a stack of solutions.
+    held parent takes no walk, and every other backtrack replays the chain
+    (see ``_backtrack``), so no backtrack walks toward an ordering.  A
+    child test that must evaluate a third solution drops the held parent
+    first, and a check walk gives up the candidate instead.  Each step
+    takes one child from a fresh scan and drops the scan: a scan held per
+    level would be a stack of solutions.
     """
     if stats is None:
         stats = TraversalStats()
-    current, odd, j, order = system.root, False, 0, None
-    chain = None if system.step_position is None else []
-    record = chain  # the root's record and chain are both empty
-    held = []  # the held parent, its owner position, or None and a bound
+    current, odd, j = system.root, False, 0
+    chain = record = []  # the root's record and chain are both empty
+    held = []  # the held parent and its owner position, or None
     root_out = None  # read from the root's ordering once a test needs it
 
     def root_outside() -> int:
@@ -560,10 +547,9 @@ def reverse_search(system: SetSystem,
         found = next(_children(system, current, j, stats, record, held,
                                root_outside), None)
         if found is not None:
-            held[:] = current, found[0], None
-            _, current, order, record = found
-            if chain is not None:
-                chain.append(record[-1])
+            held[:] = current, found[0]
+            _, current, record = found
+            chain.append(record[-1])
             odd, j = not odd, 0
             if not odd:
                 stats.note_emission()
@@ -575,9 +561,8 @@ def reverse_search(system: SetSystem,
             yield current
         if current == system.root:
             return
-        current, j, record = _backtrack(system, current, order, chain, held,
-                                        stats)
-        odd, order = not odd, None
+        current, j, record = _backtrack(system, current, chain, held, stats)
+        odd = not odd
 
 
 def visited_set_search(system: SetSystem,

@@ -365,6 +365,28 @@ def test_main_non_utf8_stdin_exits_two(monkeypatch, capsys):
     assert "standard input is not UTF-8" in captured.err
 
 
+@pytest.mark.parametrize("text, out", [
+    ("a b\nb c\nc d\nd a\n", "b-d\na-c\n"),
+    ("p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n", "2-4\n1-3\n"),
+], ids=["edge_list", "dimacs"])
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, capsys, text,
+                                    out):
+    # A leading U+FEFF is no part of the first vertex label (which would
+    # make C4 a path with two completions fewer) nor a token of the DIMACS
+    # header: a file, stdin bytes and RunConfig.text read as without it.
+    data = b"\xef\xbb\xbf" + text.encode()
+    path = tmp_path / "bom.txt"
+    path.write_bytes(data)
+    assert main(["enumerate", str(path)]) == 0
+    assert capsys.readouterr().out == out
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data),
+                                                       encoding="utf-8"))
+    assert main(["enumerate", "-"]) == 0
+    assert capsys.readouterr().out == out
+    assert _run(RunConfig(command="enumerate", text="\ufeff" + text)) == \
+        (0, out, "")
+
+
 def test_main_huge_vertex_count_exits_two(monkeypatch, capsys):
     # Too large to index a list, and too large to allocate one.
     for n in (10**19, 10**15):

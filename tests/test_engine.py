@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import itertools
 import random
 import weakref
 
@@ -301,7 +302,6 @@ def test_negative_step_position_raises_index_error():
 
 
 def test_subset_swap_system_enumerates_combinations():
-    import itertools
     for m, k in [(5, 2), (6, 3)]:
         system = helpers.subset_swap_system(m, k)
         expected = {frozenset(c) for c in
@@ -455,15 +455,14 @@ def test_ordering_prefixes_are_bounded_tokens():
                             min(full, n)
 
 
-def test_backtrack_reuses_the_ordering_the_child_test_built():
-    # Every candidate the scan tests builds one ordering.  With path records
-    # no backtrack on C7 builds one: each replays the node's record or
-    # returns to the held parent.  Without them (the generic fallback) every
-    # backtrack walks and builds one, except out of a leaf: the child test
-    # that descended to it built the leaf's ordering already.
+def test_only_child_tests_build_orderings():
+    # Every candidate the scan tests builds one ordering, and no backtrack
+    # builds one: each replays the node's ancestor chain or returns to the
+    # held parent, with path records (the chordal system) or without them
+    # (the generic fallback, which holds no parent past a child test).
     g = helpers.cycle_graph(7)
     plain = chordal_completion_system(g)
-    for system in (plain, _generic(plain)):
+    for system, kinds in ((plain, (18, 23)), (_generic(plain), (41, 0))):
         counted, calls = _count_calls(system, "ordering")
         stats = TraversalStats()
         sols = list(reverse_search(counted, stats))
@@ -471,38 +470,33 @@ def test_backtrack_reuses_the_ordering_the_child_test_built():
         candidates = sum(
             1 for f in sols for j in range(plain.neighbor_count(f))
             if plain.neighbor_at(f, j) not in (plain.root, f))
-        leaves = sum(1 for f in sols
-                     if f != plain.root and not children(plain, f))
-        assert calls[0] == stats.orderings
-        assert stats.backtrack_walks + stats.held_backtracks == 41
-        if system is plain:
-            assert calls[0] == candidates
-            assert (stats.backtrack_walks, stats.held_backtracks) == (18, 23)
-        else:
-            assert calls[0] == candidates + stats.backtrack_walks - leaves
-            assert calls[0] < candidates + stats.backtrack_walks
-            assert stats.held_backtracks == 0
+        assert calls[0] == stats.orderings == candidates == 164
+        assert (stats.backtrack_walks, stats.held_backtracks) == kinds
 
 
 def test_reverse_search_work_counters_are_frozen():
     # The per-layer benchmark metrics read these counters; a change that
     # alters the traversal's work on purpose updates them.  Every child test
     # that reaches the path test is settled by a check walk or by the
-    # scanning node's path record; the generic system has no records.  Every
-    # backtrack walks or returns to the held parent.  On the first 100
-    # solutions of a relabelled cubic14, records that skip every element
-    # outside the root's set at the root's step settle 35 child tests that
-    # walked before (78 check walks), for one more ordering, the root's;
-    # handing each parent its ancestor chain at a backtrack, and holding
-    # the grandparent at every replay, settle 20 more (43 check walks) and
-    # cut backtrack walks 51 -> 42 and walk steps 735 -> 524.
+    # scanning node's path record; the generic system has none to follow.
+    # Every backtrack replays the ancestor chain or returns to the held
+    # parent.  On the first 100 solutions of a relabelled cubic14, records
+    # that skip every element outside the root's set at the root's step
+    # settle 35 child tests that walked before (78 check walks), for one
+    # more ordering, the root's; handing each parent its ancestor chain at
+    # a backtrack, and holding the grandparent at every replay, settle 20
+    # more (43 check walks) and cut backtrack walks 51 -> 42 and walk steps
+    # 735 -> 524.  Replaying the chain in the generic system too, instead of
+    # walking toward the node's ordering, builds no ordering at a backtrack
+    # (176 -> 171) and steps along the tree path to the parent (walk steps
+    # 63 -> 44).
     cases = [
         (chordal_completion_system(helpers.cycle_graph(7)), None,
          (42, 168, 164, 0, 18, 28, 3), 164, 41),
         (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)), None,
          (21, 240, 207, 1, 9, 6, 3), 65, 20),
         (helpers.subset_swap_system(6, 3), None,
-         (20, 791, 176, 81, 19, 63, 3), 81, 19),
+         (20, 791, 171, 81, 19, 44, 3), 81, 19),
         (chordal_completion_system(_relabelled_cubic14(11)), 100,
          (100, 2189, 2166, 23, 42, 524, 3), 1050, 95),
     ]
@@ -646,12 +640,11 @@ def _relabelled_cubic14(seed: int) -> Graph:
     return Graph(14, [(perm[u], perm[v]) for u, v in BIG_INSTANCE_EDGES])
 
 
-def _assert_canonical_record(system: SetSystem, node, record, order=None):
+def _assert_canonical_record(system: SetSystem, node, record):
     # Step t of the canonical path to node leaves probe t at the position
     # that its proximity toward node's ordering names, flipping the ordering
-    # element there; its bitmask holds none of the probe's fill and, along
-    # ``order`` (the ordering the record was built along, when known), every
-    # element before the probe's proximity.
+    # element there; its bitmask holds none of the probe's fill and every
+    # element of that ordering before the probe's proximity.
     path = canonical_path(system, node)
     own = system.ordering(node)
     assert len(record) == len(path) - 1
@@ -659,22 +652,24 @@ def _assert_canonical_record(system: SetSystem, node, record, order=None):
         i = system.proximity(probe, own, 0)
         assert (s, k) == (own.element(i), system.step_position(probe, own, i))
         assert not outside & probe.mask
-        if order is not None:
-            prefix = sum(1 << e for e in order[:system.proximity(probe, order,
-                                                                 0)])
-            assert outside & prefix == prefix
+        prefix = sum(1 << e for e in own[:i])
+        assert outside & prefix == prefix
 
 
 def _assert_ancestor_chain(system: SetSystem, node, chain):
     # Replaying the chain's positions from the root visits the tree path to
     # node: each step lands on a solution whose parent() is the probe it
-    # left.  Each entry flips the fill edge at its position, and its bitmask
-    # misses the probe's fill.
+    # left.  In a system with a step_position each entry flips the fill
+    # edge at its position, and its bitmask misses the probe's fill; in one
+    # without, an entry holds its position only.
     probe = system.root
     for outside, s, k in chain:
-        assert not outside & probe.mask
-        assert probe.mask >> s & 1
-        assert (probe.mask & ((1 << s) - 1)).bit_count() == k
+        if system.step_position is None:
+            assert (outside, s) == (0, None)
+        else:
+            assert not outside & probe.mask
+            assert probe.mask >> s & 1
+            assert (probe.mask & ((1 << s) - 1)).bit_count() == k
         step = system.neighbor_at(probe, k)
         assert parent(system, step) == probe
         probe = step
@@ -709,8 +704,7 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
         elif record is not None and stats.check_walks > walks:
             outcomes["open"] += 1
         if found is not None:
-            cand, order, steps = found
-            _assert_canonical_record(system, cand, steps, order)
+            _assert_canonical_record(system, *found)
         return found
 
     def walking(system, f, j, stats, record, held, root_outside):
@@ -775,55 +769,52 @@ def test_owner_query_names_every_producing_position():
 
 
 def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
-    # Each backtrack, held, replayed from the ancestor chain or, in a system
-    # without a step_position, walked from the ordering, lands on parent()
-    # and resumes one past the position that owns the node it leaves.  A
-    # system with a step_position never walks toward an ordering to
-    # backtrack (_parent_step raises there), and the record a backtrack
-    # hands the parent is its ancestor chain.  A traversal that holds no
-    # parent emits the same sequence and settles the same child tests by
-    # records and by check walks, walking more.
+    # Each backtrack, held or replayed from the ancestor chain, in a system
+    # with a step_position and in one without, lands on parent() and
+    # resumes one past the position that owns the node it leaves.  No
+    # backtrack builds an ordering (the systems' ordering raises while one
+    # runs), and the record a backtrack hands the parent is its ancestor
+    # chain.  A traversal that holds no parent emits the same sequence and
+    # settles the same child tests by records and by check walks, walking
+    # more.
     real_backtrack = chordalenum.engine._backtrack
     real_is_child = chordalenum.engine._is_child
-    real_parent_step = chordalenum.engine._parent_step
     kinds = collections.Counter()
     backtracking = [False]
 
-    def parent_step(system, f, order, stats):
-        assert not (backtracking[0] and system.step_position is not None), \
-            "a backtrack walked toward an ordering"
-        return real_parent_step(system, f, order, stats)
+    def no_ordering_in_backtracks(system):
+        def ordering(f):
+            assert not backtracking[0], "a backtrack built an ordering"
+            return system.ordering(f)
+        return dataclasses.replace(system, ordering=ordering)
 
-    def checked(system, node, order, chain, held, stats):
+    def checked(system, node, chain, held, stats):
         before = stats.held_backtracks
         backtracking[0] = True
-        up, j, record = real_backtrack(system, node, order, chain, held,
-                                       stats)
+        up, j, record = real_backtrack(system, node, chain, held, stats)
         backtracking[0] = False
-        kinds["held" if stats.held_backtracks > before else
-              "walk" if chain is None else "replay"] += 1
+        kinds["held" if stats.held_backtracks > before else "replay",
+              "generic" if system.step_position is None else "stepped"] += 1
         assert up == parent(system, node)
         assert j - 1 == helpers.first_position_by_scan(
             system, up, node, system.neighbor_count(up))
-        assert (record is None) == (system.step_position is None)
-        if record is not None:
-            _assert_ancestor_chain(system, up, record)
+        assert record is chain
+        _assert_ancestor_chain(system, up, record)
         return up, j, record
 
-    def holding_none_backtrack(system, node, order, chain, held, stats):
+    def holding_none_backtrack(system, node, chain, held, stats):
         held.clear()
-        return checked(system, node, order, chain, held, stats)
+        return checked(system, node, chain, held, stats)
 
     def holding_none(system, f, j, stats, record, held, root_outside):
         return real_is_child(system, f, j, stats, record, [], root_outside)
 
-    monkeypatch.setattr(chordalenum.engine, "_parent_step", parent_step)
     # Relabelling 56 returns early on to a held parent that the chain
     # replay held and whose owner lies below the position of its step.
     runs = [_owner_corpus(), [chordal_completion_system(_relabelled_cubic14(s))
                               for s in (0, 1, 56)]]
     for systems, limit in zip(runs, (None, 250)):
-        for system in systems:
+        for system in map(no_ordering_in_backtracks, systems):
             results = []
             for backtrack, is_child in ((checked, real_is_child),
                                         (holding_none_backtrack,
@@ -843,8 +834,11 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
             assert held_stats.backtrack_walks + held_stats.held_backtracks \
                 == walk_stats.backtrack_walks
             assert held_stats.walk_steps <= walk_stats.walk_steps
-            assert held_stats.orderings <= walk_stats.orderings
-    assert min(kinds[k] for k in ("held", "replay", "walk")) > 0, kinds
+            assert held_stats.orderings == walk_stats.orderings
+    # The generic systems' child tests drop the held parent before any
+    # backtrack here, so all of their backtracks replay.
+    assert min(kinds[k] for k in (("held", "stepped"), ("replay", "stepped"),
+                                  ("replay", "generic"))) > 0, kinds
 
 
 class _Tracked:
@@ -908,16 +902,28 @@ def test_live_solutions_at_emissions_are_counted_independently():
     assert peak == 2
 
 
-def test_live_solutions_at_fallback_neighbor_calls_are_counted():
-    # Without a step_position each walk step evaluates every neighbor of its
-    # probe.  At every neighbor_at call, the solutions alive besides the
-    # system's root must be no more than the traversal has counted so far;
-    # the scan holds one neighbor at a time.  The consumer keeps no
-    # emission (the deque keeps none).
-    for plain in (chordal_completion_system(helpers.cycle_graph(7)),
-                  helpers.subset_swap_system(6, 3)):
+def test_live_solutions_at_neighbor_calls_are_counted():
+    # At every neighbor_at call, the solutions alive besides the system's
+    # root must be no more than the traversal has counted so far; a scan
+    # holds one neighbor at a time.  Without a step_position each walk step
+    # evaluates every neighbor of its probe; with one, the chordal system's,
+    # scans, walks and replays each make one call per step.  The consumer
+    # keeps no emission (the deque keeps none; zip's reused result tuple
+    # would keep the last one alive).  The last field is the most alive at
+    # one call.
+    chordal = chordal_completion_system
+    cases = [
+        (True, chordal(helpers.cycle_graph(7)), None, 3),
+        (True, helpers.subset_swap_system(6, 3), None, 3),
+        (False, chordal(helpers.cycle_graph(7)), None, 2),
+        (False, chordal(Graph(11, OWNER_BELOW_STEP_EDGES)), None, 2),
+        (False, chordal(_relabelled_cubic14(11)), 300, 3),
+    ]
+    for generic, plain, limit, most in cases:
         live = weakref.WeakSet()
-        system = _generic(_tracked_system(plain, live))
+        system = _tracked_system(plain, live)
+        if generic:
+            system = _generic(system)
         stats = TraversalStats()
         counts = []
 
@@ -928,10 +934,12 @@ def test_live_solutions_at_fallback_neighbor_calls_are_counted():
                 alive = sum(1 for x in live if x is not system.root)
             counts.append((alive, stats.peak_retained))
             return neighbor_at(f, j)
-        collections.deque(reverse_search(
-            dataclasses.replace(system, neighbor_at=counted), stats), maxlen=0)
+        collections.deque(itertools.islice(reverse_search(
+            dataclasses.replace(system, neighbor_at=counted), stats), limit),
+            maxlen=0)
         assert all(alive <= peak for alive, peak in counts)
-        assert max(alive for alive, _ in counts) == stats.peak_retained == 3
+        assert max(alive for alive, _ in counts) == most
+        assert stats.peak_retained == 3
 
 
 # networkx.random_regular_graph(3, 40, seed=40): 720 non-edges.

@@ -26,7 +26,9 @@ def _load_code_lines():
     ["--workload", "scale_rs", "--vertices", "8"],
 ])
 def test_ab_compares_the_working_tree_with_itself(options):
-    # Both sides are this checkout, so the digests must agree.
+    # Both sides are this checkout, so the digests must agree, and so must
+    # the work counters of a search workload (verify_small prints none).
+    searches = "verify_small" not in options
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
          *options, "--inputs", "1"],
@@ -34,6 +36,8 @@ def test_ab_compares_the_working_tree_with_itself(options):
     assert done.returncode == 0, done.stderr
     assert "digests: identical" in done.stdout
     assert "B/A CPU-time ratio: median" in done.stdout
+    assert ("counters: identical" in done.stdout) == searches
+    assert ("counters B: solutions " in done.stdout) == searches
 
 
 # Code lines: ``x = 1``, the three lines of the string token, ``def f():``,

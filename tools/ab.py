@@ -22,8 +22,12 @@ and takes the ratio of B's CPU time to A's, each summed over its two runs.
 It prints the median, the quartiles and the total (B's summed time over
 A's) of those ratios.  Under that line it prints the same figures for each
 side's second run over its first, an A/A and a B/B comparison that shows
-the noise of this very run beside the result.  It exits 1 if any digest
-differs.  Standard library and git only.
+the noise of this very run beside the result.  For the reverse-search and
+visited-set workloads it then prints each side's ``TraversalStats.as_dict()``
+from its first run of every input, summed over the inputs (``peak_retained``
+is their maximum), and whether the two sides' counters are identical: an
+exact work-count effect shows there without the timing noise.  It exits 1
+if any digest differs.  Standard library and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
@@ -148,10 +152,12 @@ def workload_inputs(package, workload: str, seed: int, count: int,
     return [w.make_input(seed, index) for index in range(count)], limit
 
 
-def run_one(package, workload: str, inp, limit) -> tuple[float, str]:
-    """CPU seconds of one input under ``package``, set-up included, and the
-    digest of what it emitted."""
+def run_one(package, workload: str, inp, limit) -> tuple[float, str, dict]:
+    """CPU seconds of one input under ``package``, set-up included, the
+    digest of what it emitted and the search's ``TraversalStats.as_dict()``
+    (empty for ``verify_small``)."""
     digest = hashlib.sha256()
+    counters = {}
     gc.collect()
     start = time.process_time()
     if workload == "verify_small":
@@ -164,11 +170,13 @@ def run_one(package, workload: str, inp, limit) -> tuple[float, str]:
             package.Graph(inp.n, inp.edges))
         search = (package.visited_set_search if workload == "cubic14_vs"
                   else package.reverse_search)
-        items = [f.mask for f in islice(search(system), limit)]
+        stats = package.TraversalStats()
+        items = [f.mask for f in islice(search(system, stats), limit)]
+        counters = stats.as_dict()
     elapsed = time.process_time() - start
     for item in items:
         digest.update(f"{item},".encode())
-    return elapsed, digest.hexdigest()[:16]
+    return elapsed, digest.hexdigest()[:16], counters
 
 
 def main(argv=None) -> int:
@@ -191,12 +199,15 @@ def main(argv=None) -> int:
         inputs, limit = workload_inputs(packages[0], args.workload,
                                         args.seed, count, args.vertices)
         runs, differ = [], 0  # per input and side: its two times in order
+        counts = [{}, {}]  # per side: counters summed over first runs
         for index, inp in enumerate(inputs):
             times, digests = [[], []], [set(), set()]
             first = index % 2
             for side in (first, 1 - first, 1 - first, first):
-                elapsed, digest = run_one(packages[side], args.workload, inp,
-                                          limit)
+                elapsed, digest, counters = run_one(
+                    packages[side], args.workload, inp, limit)
+                if not times[side]:
+                    add_counters(counts[side], counters)
                 times[side].append(elapsed)
                 digests[side].add(digest)
             (da, db) = digests
@@ -216,7 +227,21 @@ def main(argv=None) -> int:
     for side, name in ((0, "A/A"), (1, "B/B")):
         print(summary(f"{name} (second run over first)",
                       [tuple(t[side]) for t in runs]))
+    if counts[0]:  # verify_small counts nothing
+        for side, name in ((0, "A"), (1, "B")):
+            print(f"counters {name}: " + ", ".join(
+                f"{key} {value:,}" for key, value in counts[side].items()))
+        print("counters: "
+              + ("identical" if counts[0] == counts[1] else "differ"))
     return 1 if differ else 0
+
+
+def add_counters(total: dict, counters: dict) -> None:
+    """Add ``counters`` into ``total``, keeping the larger
+    ``peak_retained``."""
+    for key, value in counters.items():
+        total[key] = (max(total.get(key, 0), value) if key == "peak_retained"
+                      else total.get(key, 0) + value)
 
 
 def positive(text: str) -> int:
