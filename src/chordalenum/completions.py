@@ -106,14 +106,21 @@ def _filled_masks(base: Graph, mask: int) -> list[int]:
 
 
 def _flip(base: Graph, masks: list[int], mask: int,
-          i: int) -> tuple[int, int]:
+          i: int) -> tuple[int, int, int]:
     """Flip kernel: drop fill index ``i`` from ``mask`` and add every
     non-edge lying inside the common neighborhood of its endpoints.
 
     ``masks`` must be the filled adjacency of ``mask``; it is edited in
-    place into the flipped mask's.  Returns the flipped mask and ``near``,
+    place into the flipped mask's.  Returns the flipped mask, ``near``,
     the fill pairs joining an endpoint x or y of the flipped edge to a
-    vertex of C, the common neighborhood of x and y.
+    vertex of C, the common neighborhood of x and y, and ``cover``, the
+    vertices outside C and x.
+
+    C plus x is a clique of the flipped graph H': x sees every vertex of C,
+    as C is its common neighborhood with y, and the flip joins every pair
+    inside C.  So every pair missing from H' has an end outside that
+    clique, and ``cover`` is a valid cover for ``_reduce`` on the flipped
+    adjacency.
 
     When ``mask`` is a minimal completion, with filled graph H, no fill
     pair of the flipped graph H' outside ``near`` is removable: each pair
@@ -152,7 +159,8 @@ def _flip(base: Graph, masks: list[int], mask: int,
         m ^= low
     masks[x] ^= 1 << y
     masks[y] ^= 1 << x
-    return (mask | within) ^ (1 << i), (incident[x] | incident[y]) & seen
+    return ((mask | within) ^ (1 << i), (incident[x] | incident[y]) & seen,
+            ~(cn | 1 << x))
 
 
 def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
@@ -176,7 +184,10 @@ def _reduce(base: Graph, masks: list[int], candidates: int, cover: int = -1,
     (default: every vertex).  The clique test looks only at the common
     neighbors inside it: a missing edge between two common neighbors is
     seen from either end, so from the end the cover holds.  Each deletion
-    adds an endpoint of the edge it removes.
+    adds an endpoint of the edge it removes.  A caller may pass any such
+    cover, such as the complement of a clique of ``masks``: the test stays
+    exact, so the deletions, ``out`` and the returned candidates and stuck
+    pairs do not depend on it, only the work of each test does.
 
     The loop keeps one mask, the candidates still to test, which starts as
     ``candidates`` less ``stuck``; ``stuck`` may hold only pairs not
@@ -456,13 +467,15 @@ def successor(f: Completion, e: Edge) -> Completion:
     One adjacency serves both kernels.  The reduction starts with every
     flipped fill pair stuck except ``near``, those joining the flipped
     edge's ends to their common neighborhood: ``_flip`` proves, case by
-    case, that no other pair is removable right after the flip.
+    case, that no other pair is removable right after the flip.  Its clique
+    tests skip the vertices of ``_flip``'s clique, that common
+    neighborhood plus one end, as no missing pair lies inside it.
     """
     i = _fill_index(f, e)
     masks = _require_minimal(f, "successor")
-    mask, near = _flip(f.base, masks, f.mask, i)
-    return Completion(f.base,
-                      _reduce(f.base, masks, mask, stuck=mask & ~near)[0])
+    mask, near, cover = _flip(f.base, masks, f.mask, i)
+    return Completion(f.base, _reduce(f.base, masks, mask, cover,
+                                      mask & ~near)[0])
 
 
 def minimal_completion_root(g: Graph) -> Completion:

@@ -608,16 +608,18 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     matched prefix; the engine steps by ``neighbor_at`` at that position.
 
     A neighbor evaluation is one stored entry and one call of each kernel,
-    ``_flip`` then ``_reduce``.  An entry holds a fill mask and its filled
-    adjacency as a list.  The system builds the root's entry at set-up and
-    keeps two more, those of the other masks used last: a scan flips one
-    node's fill edges in turn, walks restart at the root, and the kernel
-    ends holding its result's adjacency, which becomes the newest entry and
-    the next probe of a walk.  An entry built from its mask also holds the
-    list of its fill indices, so a scan reads position j in one step; a
-    kernel result's entry, which a walk uses once, holds none, and a call
-    on it walks j bits.  The kernels edit a copy, never an entry, so
-    traversals interleaved over one system get the same answers.
+    ``_flip`` then ``_reduce``, which starts from the ``near`` pairs and the
+    cover that ``_flip`` returns, so its clique tests skip the clique the flip
+    leaves.  An entry holds a fill mask and its filled adjacency as a list.
+    The system builds the root's entry at set-up and keeps two more, those of
+    the other masks used last: a scan flips one node's fill edges in turn,
+    walks restart at the root, and the kernel ends holding its result's
+    adjacency, which becomes the newest entry and the next probe of a walk.  An
+    entry built from its mask also holds the list of its fill indices, so a
+    scan reads position j in one step; a kernel result's entry, which a walk
+    uses once, holds none, and a call on it walks j bits.  The kernels edit a
+    copy, never an entry, so traversals interleaved over one system get the
+    same answers.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
@@ -639,8 +641,8 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         i = (fills[j] if fills and 0 <= j < len(fills)
              else _fill_index_at(mask, j))
         masks = list(entry[1])
-        flipped, near = _flip(g, masks, mask, i)
-        result = _reduce(g, masks, flipped, -1, flipped & ~near)[0]
+        flipped, near, cover = _flip(g, masks, mask, i)
+        result = _reduce(g, masks, flipped, cover, flipped & ~near)[0]
         if result != root_mask and recent[1][0] != result:
             recent[:] = recent[1], (recent[0] if recent[0][0] == result
                                     else [result, masks, None])

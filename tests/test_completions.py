@@ -328,7 +328,10 @@ def test_flip_unblocks_only_pairs_at_the_flipped_edge():
     """After e = xy is flipped out of a minimal completion with filled graph
     H, every removable fill pair joins x or y to C, the common neighborhood
     of x and y in H; ``_flip`` returns exactly those fill pairs as ``near``,
-    the only pairs the successor's reduction starts by testing."""
+    the only pairs the successor's reduction starts by testing.  Its cover
+    is exactly the vertices outside C and x, which form a clique of the
+    flipped rows, so every pair missing from those rows has an end in the
+    cover."""
     rng = random.Random(2971)
     graphs = helpers.atlas_graphs(7) + [
         helpers.random_graph_at_most(rng, rng.randint(4, 12), 12)
@@ -348,10 +351,21 @@ def test_flip_unblocks_only_pairs_at_the_flipped_edge():
                 assert {ne.index(p) for p in removable_edges(flipped)} <= \
                     joins, (g.edges, f, (x, y))
                 i = ne.index((x, y))
-                assert chordalenum.completions._flip(
-                    g, list(rows), f.mask, i) == (
-                        flipped.mask, sum(1 << j for j in joins)), \
+                masks = list(rows)
+                mask, near, cover = chordalenum.completions._flip(
+                    g, masks, f.mask, i)
+                assert (mask, near) == (
+                    flipped.mask, sum(1 << j for j in joins)), \
                     (g.edges, f, (x, y))
+                assert masks == list(flipped.supergraph().adj_masks)
+                clique = c | 1 << x
+                assert ~cover == clique, (g.edges, f, (x, y))
+                assert not any(clique & ~masks[v] & ~(1 << v)
+                               for v in range(g.n) if clique >> v & 1), \
+                    (g.edges, f, (x, y))
+                assert all(cover >> a & 1 or cover >> b & 1
+                           for a in range(g.n) for b in range(a + 1, g.n)
+                           if not masks[a] >> b & 1), (g.edges, f, (x, y))
                 flips += 1
     assert flips > 6000
 
@@ -430,8 +444,8 @@ def test_kernel_at_larger_sizes_matches_clique_test_reference():
     """The greedy-deletion kernel on random graphs with 12 to 40 vertices,
     whose ground masks span up to 25 30-bit digits, against a reference that
     re-tests every candidate each round with no pair skipped.  Runs start
-    from a flipped minimal completion (the cover holds every vertex and the
-    pairs outside ``near`` start stuck, as in the successor) and from K_n
+    from a flipped minimal completion (the flip's cover, and the pairs
+    outside ``near`` stuck, as in the successor) and from K_n
     with the complement of a minimal completion or a random subset as the
     candidates (the empty cover, as in the traces).  The
     kernel is stopped at random stop masks and resumed from the state it
@@ -452,9 +466,9 @@ def test_kernel_at_larger_sizes_matches_clique_test_reference():
                 f = successor(f, rng.choice(f.fill_edges))
             rows = chordalenum.completions._filled_masks(g, f.mask)
             i = rng.choice([i for i in range(len(ne)) if f.mask >> i & 1])
-            candidates, near = chordalenum.completions._flip(
+            candidates, near, cover = chordalenum.completions._flip(
                 g, rows, f.mask, i)
-            state = (candidates, -1, candidates & ~near)
+            state = (candidates, cover, candidates & ~near)
             flipped += 1
         else:
             rows = list(chordalenum.completions._complete(n))
@@ -483,6 +497,40 @@ def test_kernel_at_larger_sizes_matches_clique_test_reference():
         assert pieces == expected and rows == expected_rows
         assert rest == candidates & ~sum(1 << j for j in expected) == stuck
     assert stops > 1200 and 80 < flipped < 120
+
+
+def test_successor_reduction_with_the_flip_cover_matches_the_full_cover():
+    """For every fill edge of every minimal completion of the atlas graphs
+    up to 7 vertices and of seeded random graphs, the successor's reduction
+    run with the cover ``_flip`` returns deletes what it deletes with every
+    vertex as the cover, in the same order, and returns the same candidates
+    and stuck pairs and leaves the same rows."""
+    rng = random.Random(196418)
+    reduce = chordalenum.completions._reduce
+    graphs = helpers.atlas_graphs(7) + [
+        helpers.random_graph_at_most(rng, rng.randint(4, 12), 16)
+        for _ in range(300)]
+    runs = deleting = 0
+    for g in graphs:
+        for f in visited_set_search(chordal_completion_system(g)):
+            rows = chordalenum.completions._filled_masks(g, f.mask)
+            for i in range(len(non_edges(g))):
+                if not f.mask >> i & 1:
+                    continue
+                masks = list(rows)
+                mask, near, cover = chordalenum.completions._flip(
+                    g, masks, f.mask, i)
+                results = []
+                for c in (cover, -1):
+                    out: list[int] = []
+                    reduced = list(masks)
+                    state = reduce(g, reduced, mask, c, mask & ~near,
+                                   out=out)
+                    results.append((state[0], state[2], out, reduced))
+                assert results[0] == results[1], (g.edges, f, i)
+                runs += 1
+                deleting += bool(results[0][2])
+    assert runs > 8000 and deleting > 5000
 
 
 def test_trace_pulled_in_random_pieces_matches_one_force():

@@ -24,6 +24,7 @@ def _load_code_lines():
 @pytest.mark.parametrize("options", [
     ["--workload", "verify_small"],
     ["--workload", "scale_rs", "--vertices", "8"],
+    ["--workload", "cubic14_vs"],
 ])
 def test_ab_compares_the_working_tree_with_itself(options):
     # Both sides are this checkout, so the digests must agree, and so must
