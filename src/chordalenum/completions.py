@@ -17,7 +17,7 @@ returned state and resumes it when asked for more.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import (Edge, Graph, GraphInputError, _iter_bits, _mcs_violation,
                     ground_index, non_edge_incidence, non_edges)
@@ -323,13 +323,9 @@ class RemovalTrace:
     completion that is not chordal ends where the reduction stalls, short of
     the complement.
 
-    ``trace[:n]`` is the trace cut after its first n elements, like a tuple
-    prefix: a trace of its own whose proximity is ``min(proximity, n)``,
-    which has no element at position n or later, and which shares the
-    elements computed so far (and computed from now on) with ``trace``; it
-    never computes an element past its end, as it resumes the kernel one
-    deletion at a time while the kernel could run past that end.  Iterating
-    a trace yields its elements from position 0 on, like a tuple.
+    ``trace[:n]`` is the tuple of the trace's first n elements, like a
+    tuple prefix; the trace is computed as far as position n - 1 and no
+    further (to its end for ``trace[:]`` and a negative n).
     """
 
     __slots__ = ("_run", "_seq", "_stop")
@@ -340,22 +336,19 @@ class RemovalTrace:
         # stuck pairs.  K_n misses no edge, so the empty set covers them.
         self._run = [f.base, list(_complete(f.base.n)), rest, 0, 0]
         self._seq: list[int] = []
-        self._stop = rest.bit_count()
+        self._stop = rest.bit_count()  # the length once known, else a bound
 
-    def __getitem__(self, key: slice) -> "RemovalTrace":
+    def __getitem__(self, key: slice) -> tuple[int, ...]:
         if not isinstance(key, slice):
             raise TypeError("a removal trace slices only as trace[:n]")
+        if key.stop is None or key.stop < 0:
+            self.force()  # in one call; a negative stop counts from the end
         start, stop, step = key.indices(self._stop)
         if start or step != 1:
             raise TypeError("a removal trace slices only as trace[:n]")
-        view = RemovalTrace.__new__(RemovalTrace)
-        view._run = self._run
-        view._seq = self._seq
-        view._stop = stop
-        return view
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.force())
+        if stop:
+            self.element(stop - 1)
+        return tuple(self._seq[:stop])
 
     def element(self, pos: int) -> Optional[int]:
         """The non-edge index at trace position ``pos``, or None past the
@@ -376,7 +369,7 @@ class RemovalTrace:
         seq = self._seq
         i = start
         while True:
-            end = min(len(seq), self._stop)
+            end = len(seq)
             while i < end:
                 if fill_mask >> seq[i] & 1:
                     return i
@@ -389,14 +382,11 @@ class RemovalTrace:
             i = max(i, len(seq) - 1)
 
     def _pull(self, stop: int) -> None:
-        """Resume the kernel until it deletes an index in ``stop``, or, in a
-        view that ends before the reduction can, for one deletion.  When the
+        """Resume the kernel until it deletes an index in ``stop``.  When the
         reduction ends instead, so does the trace: at the complement, or
         short of it for a completion that is not chordal."""
         run, seq = self._run, self._seq
         before = len(seq)
-        if before + run[2].bit_count() > self._stop:
-            stop = -1
         run[2:] = _reduce(*run, stop=stop, out=seq)
         if len(seq) == before or not stop >> seq[-1] & 1:
             self._stop = len(seq)
@@ -405,7 +395,7 @@ class RemovalTrace:
         seq = self._seq
         while len(seq) < self._stop:
             self._pull(0)
-        return tuple(seq[:self._stop])
+        return tuple(seq)
 
 
 def removal_order(f: Completion) -> tuple[Edge, ...]:

@@ -17,15 +17,10 @@ it.  The neighbor scan is written once, in the generator
 one child at a time from a fresh scan.
 
 Solutions must be hashable and comparable with ``==``.  Orderings are
-tuples of ground elements, or tokens that behave like them (the chordal
-instance's removal trace, which a proximity query grows in one call up to
-the first element inside the probe's fill).  A token cut like a tuple,
-``order[:n]``, is again a token: its proximity is ``min(proximity, n)``,
-it has no element at position n or later, and iterating it yields its
-elements like a tuple prefix.  The parent check toward a candidate child
-needs no more: its walk only steps from proximities below ``i_f``, the
-scanning node's, and stops on reaching ``i_f``, so it reads
-``order[:i_f + 1]`` and a lazy ordering is computed no further than that.
+tuples of ground elements, or objects that the system's own proximity and
+step understand (the chordal instance's removal trace, which a proximity
+query grows in one call up to the first element inside the probe's fill);
+``order[:n]`` gives the first n elements as a tuple.
 
 ``reverse_search`` also keeps two lists of O(depth) ints for its current
 node, with one entry per step from the root: a bitmask of elements outside
@@ -64,9 +59,10 @@ class SetSystem:
 
     ``neighbor_at(f, j)`` must be deterministic in ``j`` for fixed ``f``; the
     scan order over ``j`` is what fixes which neighbor owns a child that can
-    be produced several ways.  ``ordering(f)`` returns whatever token this
-    system's own ``proximity`` and ``step_position`` understand (a tuple, or
-    a lazily grown trace).
+    be produced several ways.  ``ordering(f)`` returns whatever ordering
+    this system's own ``proximity`` and ``step_position`` understand (a
+    tuple, or a lazily grown trace); ``order[:n]`` gives its first n
+    elements as a tuple.
     ``proximity(f, order, start)`` may assume the first ``start`` ordering
     elements already matched and resume there.
 
@@ -84,14 +80,6 @@ class SetSystem:
     only an optimization and must name every position below ``j`` that does
     produce ``cand``.
 
-    Tokens slice like tuple prefixes: ``order[:n]`` must be a token of the
-    same system whose proximity is ``min(proximity, n)``, which has no
-    element at position n or later, and whose iteration yields its
-    elements from position 0 on and computes none past n (tuples already
-    are such tokens).  The check walk toward a candidate child passes
-    ``order[:i_f + 1]`` to ``proximity`` and ``step_position``, because it
-    only steps from proximities below ``i_f`` and stops at ``i_f``.
-
     With ``step_position`` the child test may decide from the scanning
     node's path record instead of a walk (see ``_follow``), which takes
     three properties of the system: ``proximity(f, order, start)`` is the
@@ -99,11 +87,10 @@ class SetSystem:
     (the chordal system's fill), or the length; the step out of ``f`` at
     proximity ``i`` reads the ordering only at position ``i`` (the chordal
     step flips the fill edge ``order.element(i)``, at its rank in the
-    fill); and orderings give their elements as ints, read by iterating
-    ``order[:i_f + 1]`` and used as bit positions.  The bitmasks also
-    rest on proximity search itself: as proximity strictly increases along
-    a canonical path, every element before a probe's proximity lies
-    outside that probe's set.  So does every element of a solution's own
+    fill); and ordering elements are ints, which the bitmasks use as bit
+    positions.  The bitmasks also rest on proximity search itself: as
+    proximity strictly increases along a canonical path, every element
+    before a probe's proximity lies outside that probe's set.  So does every element of a solution's own
     ordering (the chordal trace runs over the fill's complement), so the
     root's ordering widens the root's step.  A record entry is
     ``(outside, s, k)``: the bitmask, the flipped element and the step's
@@ -364,17 +351,15 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     In a system with a ``step_position`` the path test follows ``record``,
     ``f``'s path record (see ``_follow``, which reads ``root_outside``),
     and walks from the root only when a step stays open or ``f`` has no
-    record; without one it always walks.  The check walk
-    stops on meeting ``f`` or on overtaking its proximity ``i_f``, since
-    proximity strictly increases along the path.  Every step it takes
-    starts below ``i_f``, so it reads only ``order[:i_f + 1]``: a probe's
-    proximity there is ``min(i, i_f + 1)``, which decides ``i >= i_f`` the
-    same way, and the candidate's own is ``i_f + 1``, so the walk needs no
-    candidate in hand.  With a parent held, it gives up the candidate's
-    slot and recomputes a child it finds.  A child found by the walk takes
-    the walk's steps as its record (``_walked_record``).  In a system
-    without ``step_position`` a child's record is the one entry of its tree
-    edge, ``(0, None, k)``, which only the ancestor chain reads.
+    record; without one it always walks.  The check walk stops on meeting
+    ``f`` or on reaching a probe whose proximity is ``i_f``, f's own, or
+    more, since proximity strictly increases along the path; the
+    candidate's is the ordering's length, more than ``i_f``, so the walk
+    needs no candidate in hand.  With a parent held, it gives up the
+    candidate's slot and recomputes a child it finds.  A child found by the
+    walk takes the walk's steps as its record (``_walked_record``).  In a
+    system without ``step_position`` a child's record is the one entry of
+    its tree edge, ``(0, None, k)``, which only the ancestor chain reads.
     """
     stats.neighbor_evals += 1
     cand = system.neighbor_at(f, j)
@@ -398,7 +383,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     if _first_position(system, f, cand, j, stats, held) < j:
         return None
     # Only a system with a step_position has records to follow.
-    head = None if system.step_position is None else tuple(order[:i_f + 1])
+    head = None if system.step_position is None else order[:i_f + 1]
     if head is not None and record is not None:
         steps = _follow(record, head, k, root_outside)
         if steps is not None:
@@ -408,8 +393,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     stats.note_retained(3)
     cand = None if held else cand
     proximities, positions = [], []
-    for probe, i, step in _path(system, system.root, None, order[:i_f + 1],
-                                stats):
+    for probe, i, step in _path(system, system.root, None, order, stats):
         if step is not None:
             positions.append(step)
         if probe == f:

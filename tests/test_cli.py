@@ -71,6 +71,9 @@ def test_parse_dimacs_errors():
         ("e 1 2\n", "edge before the problem line"),
         ("c only comments\n", "missing 'p edge"),
         ("p edge two 1\ne 1 2\n", "non-integer"),
+        ("p edge -1 0\n", "negative size"),
+        ("p edge 2 1\ne 1\n", "expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 1 x\n", "non-integer endpoint"),
     ]
     for text, fragment in cases:
         with pytest.raises(GraphInputError, match=fragment):
@@ -195,6 +198,10 @@ def test_unknown_output_format_exits_two():
     assert (code, out) == (2, "")
     assert err == "error: --format must be one of edges, jsonlines, " \
         "got 'bogus'\n"
+    code, out, err = _run(RunConfig(command="enumerate", text=C4_EDGE_LIST,
+                                    input_format="bogus"))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown input format 'bogus'\n"
 
 
 def test_enumerate_stats_go_to_stderr():
@@ -204,6 +211,11 @@ def test_enumerate_stats_go_to_stderr():
     assert "solutions=2" in err
     assert "peak_retained=" in err
     assert "1-3" in out
+    code, out, err = _run(RunConfig(command="count", text=C4_EDGE_LIST,
+                                    stats=True))
+    assert (code, out) == (0, "2\n")
+    assert "solutions=2" in err
+    assert "peak_retained=" in err
 
 
 def test_count_both_modes():

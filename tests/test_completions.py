@@ -535,14 +535,15 @@ def test_successor_reduction_with_the_flip_cover_matches_the_full_cover():
 
 def test_trace_pulled_in_random_pieces_matches_one_force():
     """A removal trace pulled in random pieces, by ``prefix_against`` from
-    random starts against random fills, by ``element`` and through views,
-    computes the elements one ``force`` does.  A pull that finds its fill
-    hit stops there.  The completions are minimal, chordal but not minimal,
-    or not chordal: the last trace ends where the reduction stalls, which
-    the networkx re-test reference also does."""
+    random starts against random fills, by ``element`` and by prefix reads
+    ``trace[:n]``, computes the elements one ``force`` does.  A pull that
+    finds its fill hit stops there, and a prefix read at position n - 1; a
+    negative n reads the whole trace.  The completions are minimal, chordal
+    but not minimal, or not chordal: the last trace ends where the
+    reduction stalls, which the networkx re-test reference also does."""
     rng = random.Random(514229)
     hits = 0
-    for _ in range(200):
+    for _ in range(400):
         g = helpers.random_graph_at_most(rng, rng.randint(3, 9), 12)
         ne = non_edges(g)
         sols = list(visited_set_search(chordal_completion_system(g)))
@@ -554,15 +555,14 @@ def test_trace_pulled_in_random_pieces_matches_one_force():
             assert tuple(ne[i] for i in full) == removal_order(f)
         trace = RemovalTrace(f)
         for _ in range(rng.randint(1, 8)):
-            known = len(trace._seq)
-            n = rng.randint(0, len(full) + 1)
-            token = trace[:n] if rng.random() < 0.3 else trace
-            end = min(n, len(full)) if token is not trace else len(full)
+            known, end = len(trace._seq), len(full)
+            n = rng.randint(-2, len(full) + 1)
+            read = rng.random() < 0.3
             if rng.random() < 0.6:
                 fill = rng.choice([s.mask for s in sols]
                                   + [rng.getrandbits(len(ne))])
                 start = rng.randint(0, end)
-                i = token.prefix_against(fill, start)
+                i = trace.prefix_against(fill, start)
                 assert i == next((p for p in range(start, end)
                                   if fill >> full[p] & 1), end)
                 if known <= i < end:
@@ -570,10 +570,15 @@ def test_trace_pulled_in_random_pieces_matches_one_force():
                     hits += 1
             else:
                 pos = rng.randint(0, len(full) + 1)
-                assert token.element(pos) == (full[pos] if pos < end
+                assert trace.element(pos) == (full[pos] if pos < end
                                               else None)
                 if pos < end:
                     assert len(trace._seq) == max(known, pos + 1)
+            if read:
+                known = len(trace._seq)
+                assert trace[:n] == full[:n]
+                assert len(trace._seq) == (end if n < 0
+                                           else max(known, min(n, end)))
             assert len(trace._seq) <= max(known, end)
             assert trace._seq == list(full[:len(trace._seq)])
         assert trace.force() == full
@@ -591,7 +596,7 @@ def test_negative_trace_positions_raise_index_error():
         trace = RemovalTrace(root)
         if computed:
             assert trace.element(computed - 1) == 3
-        for call in (trace.element, trace[:3].element,
+        for call in (trace.element,
                      lambda p: trace.prefix_against(root.mask, p)):
             for pos in (-1, -2):
                 with pytest.raises(IndexError, match=rf"^removal trace "

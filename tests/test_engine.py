@@ -406,13 +406,15 @@ def test_generic_parent_walk_evaluates_each_neighbor_once_per_step():
 
 
 
-def test_ordering_prefixes_are_bounded_tokens():
-    # order[:n] is a token of the same system whose proximity is
-    # min(proximity, n), which has no element at position n or later and
-    # which iterates like a tuple prefix; a removal trace's prefix shares
-    # the trace's elements and computes none past its end.  A start s claims the first s elements matched, so it
-    # goes up to the prefix's own proximity.  A key that is no prefix, an
-    # int or a stepped slice, raises TypeError.
+def test_ordering_prefixes_are_tuples(monkeypatch):
+    # order[:n] is the tuple of the ordering's first n elements, and on a
+    # removal trace reading a prefix already computed pulls nothing; a key
+    # that is no prefix, an int or a stepped slice, raises TypeError.  The subset system's
+    # proximity reads a tuple prefix, where a start s claims the first s
+    # elements matched, so it goes up to the prefix's own proximity.
+    def no_pull(self, stop):
+        raise AssertionError("a computed prefix pulled the kernel")
+
     rng = random.Random(28657)
     for _ in range(200):
         g = helpers.random_graph_at_most(rng, rng.randint(4, 8), 10)
@@ -420,6 +422,7 @@ def test_ordering_prefixes_are_bounded_tokens():
         sols = list(visited_set_search(system))
         target = rng.choice(sols)
         elements = system.ordering(target).force()
+        assert system.ordering(target)[:] == elements
         edges = removal_order(target)
         for f in rng.sample(sols, min(3, len(sols))):
             full = system.proximity(f, system.ordering(target), 0)
@@ -429,17 +432,13 @@ def test_ordering_prefixes_are_bounded_tokens():
                 for key in (n, slice(0, n, 2)):
                     with pytest.raises(TypeError):
                         trace[key]
-                view = trace[:n]
-                assert system.proximity(f, view, 0) == min(full, n)
-                assert len(trace._seq) <= n
-                for s in range(min(full, n) + 1):
-                    assert system.proximity(f, view, s) == min(full, n)
-                head = list(elements[:n])
-                assert [view.element(p) for p in range(len(elements) + 2)] \
-                    == head + [None] * (len(elements) + 2 - len(head))
-                assert view[:n + 1].force() == view[:n].force() == \
-                    tuple(view) == elements[:n]
-                assert len(trace._seq) <= n
+                head = trace[:n]
+                assert type(head) is tuple and head == elements[:n]
+                with monkeypatch.context() as patch:
+                    patch.setattr(chordalenum.completions.RemovalTrace,
+                                  "_pull", no_pull)
+                    for m in range(n + 1):
+                        assert trace[:m] == elements[:m]
                 assert proximity(f, edges[:n]) == min(full, n)
     for m, k in [(5, 2), (6, 3)]:
         system = helpers.subset_swap_system(m, k)

@@ -25,6 +25,7 @@ def _load_code_lines():
     ["--workload", "verify_small"],
     ["--workload", "scale_rs", "--vertices", "8"],
     ["--workload", "cubic14_vs"],
+    ["--workload", "cubic14_rs"],
 ])
 def test_ab_compares_the_working_tree_with_itself(options):
     # Both sides are this checkout, so the digests must agree, and so must
