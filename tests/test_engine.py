@@ -409,9 +409,10 @@ def test_generic_parent_walk_evaluates_each_neighbor_once_per_step():
 def test_ordering_prefixes_are_tuples(monkeypatch):
     # order[:n] is the tuple of the ordering's first n elements, and on a
     # removal trace reading a prefix already computed pulls nothing; a key
-    # that is no prefix, an int or a stepped slice, raises TypeError.  The subset system's
-    # proximity reads a tuple prefix, where a start s claims the first s
-    # elements matched, so it goes up to the prefix's own proximity.
+    # that is no prefix, an int or a stepped slice, raises TypeError.  The
+    # subset system's proximity reads a tuple prefix, where a start s
+    # claims the first s elements matched, so it goes up to the prefix's
+    # own proximity.
     def no_pull(self, stop):
         raise AssertionError("a computed prefix pulled the kernel")
 
