@@ -324,8 +324,8 @@ class RemovalTrace:
     the complement.
 
     ``trace[:n]`` is the tuple of the trace's first n elements, like a
-    tuple prefix; the trace is computed as far as position n - 1 and no
-    further (to its end for ``trace[:]`` and a negative n).
+    tuple prefix, for n >= 0; the trace is computed as far as position
+    n - 1 and no further.  ``force()`` computes and returns the whole trace.
     """
 
     __slots__ = ("_run", "_seq", "_stop")
@@ -339,13 +339,10 @@ class RemovalTrace:
         self._stop = rest.bit_count()  # the length once known, else a bound
 
     def __getitem__(self, key: slice) -> tuple[int, ...]:
-        if not isinstance(key, slice):
-            raise TypeError("a removal trace slices only as trace[:n]")
-        if key.stop is None or key.stop < 0:
-            self.force()  # in one call; a negative stop counts from the end
-        start, stop, step = key.indices(self._stop)
-        if start or step != 1:
-            raise TypeError("a removal trace slices only as trace[:n]")
+        if (not isinstance(key, slice) or key.stop is None or key.stop < 0
+                or key.start or key.step not in (None, 1)):
+            raise TypeError("a removal trace slices only as trace[:n], n >= 0")
+        stop = min(key.stop, self._stop)
         if stop:
             self.element(stop - 1)
         return tuple(self._seq[:stop])

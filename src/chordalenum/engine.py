@@ -90,11 +90,9 @@ class SetSystem:
     fill); and ordering elements are ints, which the bitmasks use as bit
     positions.  The bitmasks also rest on proximity search itself: as
     proximity strictly increases along a canonical path, every element
-    before a probe's proximity lies outside that probe's set.  So does every element of a solution's own
-    ordering (the chordal trace runs over the fill's complement), so the
-    root's ordering widens the root's step.  A record entry is
-    ``(outside, s, k)``: the bitmask, the flipped element and the step's
-    neighbor position.  A record need not be a canonical path, as the
+    before a probe's proximity lies outside that probe's set.  A record
+    entry is ``(outside, s, k)``: the bitmask, the flipped element and the
+    step's neighbor position.  A record need not be a canonical path, as the
     verdicts hold along any path of such steps.  Canonical paths are not
     closed under prefixes: on a child's record, the probe before the parent
     need not be the parent's parent.  So the traversal also keeps the
@@ -138,7 +136,7 @@ class TraversalStats:
     backtracks.  Neither costs a successor call, so neither is a work
     counter, and ``as_dict`` leaves them out.  Every backtrack walk is a
     replay of the ancestor chain, which builds no ordering, so
-    ``orderings`` counts the child tests' orderings and the root's.  With
+    ``orderings`` counts exactly the child tests' orderings.  With
     ``record_gaps`` the per-emission deltas of the work counters are kept
     in ``gap_<counter>`` lists, which is what the delay-structure
     assertions read.
@@ -276,8 +274,7 @@ def _prefix_mask(head: Sequence, start: int, stop: int, mask: int) -> int:
     return mask
 
 
-def _follow(record: list, head: Sequence, k: int,
-            root_outside: Callable[[], int]) -> Union[list, bool, None]:
+def _follow(record: list, head: Sequence, k: int) -> Union[list, bool, None]:
     """Follow the path record of the scanning node f along ``head``, the
     ordering of a candidate cut after position ``i_f = len(head) - 1``, f's
     proximity toward it; ``k`` is the position of f's step toward it.
@@ -291,21 +288,19 @@ def _follow(record: list, head: Sequence, k: int,
     ``SetSystem`` for what that takes): skipping bits of ``outside`` and
     meeting ``s`` proves that it takes the same step; reaching ``i_f``
     first proves that it stops at that probe, short of f; any other element
-    leaves the step open.  At the root's step
-    the scan also skips the bits of ``root_outside()``, the elements outside
-    the root's set, which a traversal computes once.  Returns False when
-    the walk stops short, None when a step is open, and else the candidate's
-    record: the steps followed, each widened by the elements scanned before
-    it (they lie outside the probe's set, as the path is now the candidate's
-    canonical path), then f's own step, which ends the candidate's
-    canonical path.  ``head`` holds the elements that the proximity query
-    toward f already computed.
+    leaves the step open.  Returns False when the walk stops short, None
+    when a step is open, and else the candidate's record: the steps
+    followed, each widened by the elements scanned before it (they lie
+    outside the probe's set, as the path is now the candidate's canonical
+    path), then f's own step, which ends the candidate's canonical path.
+    ``head`` holds the elements that the proximity query toward f already
+    computed.
     """
     i_f = len(head) - 1
     steps, seen, pos = [], 0, 0
     for outside, s, k_t in record:
         while pos < i_f and (e := head[pos]) != s:
-            if not outside >> e & 1 and (steps or not root_outside() >> e & 1):
+            if not outside >> e & 1:
                 return None
             seen |= 1 << e
             pos += 1
@@ -332,8 +327,7 @@ def _walked_record(walk: Iterable, head: Sequence, k: int) -> list:
 
 
 def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list,
-              root_outside: Callable[[], int] = lambda: 0
+              record: Optional[list], held: list
               ) -> Optional[tuple[Any, list]]:
     """The neighbor of ``f`` at position ``j`` with its path record if it is
     a child of ``f`` in the arborescence owned by that position, else None.
@@ -349,14 +343,14 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     landing step pays for the first-occurrence scan and the path test.
 
     In a system with a ``step_position`` the path test follows ``record``,
-    ``f``'s path record (see ``_follow``, which reads ``root_outside``),
-    and walks from the root only when a step stays open or ``f`` has no
-    record; without one it always walks.  The check walk stops on meeting
-    ``f`` or on reaching a probe whose proximity is ``i_f``, f's own, or
-    more, since proximity strictly increases along the path; the
-    candidate's is the ordering's length, more than ``i_f``, so the walk
-    needs no candidate in hand.  With a parent held, it gives up the
-    candidate's slot and recomputes a child it finds.  A child found by the
+    ``f``'s path record (see ``_follow``), and walks from the root only
+    when a step stays open or ``f`` has no record; without one it always
+    walks.  The check walk stops on meeting ``f`` or on reaching a probe
+    whose proximity is ``i_f``, f's own, or more, since proximity strictly
+    increases along the path; the candidate's is the ordering's length,
+    more than ``i_f``, so the walk needs no candidate in hand.  With a
+    parent held, it gives up the candidate's slot and recomputes a child it
+    finds.  A child found by the
     walk takes the walk's steps as its record (``_walked_record``).  In a
     system without ``step_position`` a child's record is the one entry of
     its tree edge, ``(0, None, k)``, which only the ancestor chain reads.
@@ -385,7 +379,7 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     # Only a system with a step_position has records to follow.
     head = None if system.step_position is None else order[:i_f + 1]
     if head is not None and record is not None:
-        steps = _follow(record, head, k, root_outside)
+        steps = _follow(record, head, k)
         if steps is not None:
             stats.record_verdicts += 1
             return (cand, steps) if steps else None
@@ -409,15 +403,14 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list,
-              root_outside: Callable[[], int] = lambda: 0
+              record: Optional[list], held: list
               ) -> Iterator[tuple[int, Any, list]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
     order, each as its position, the child and its path record, given
     ``f``'s ``record`` and the held parent (see ``_is_child``).  The root
     is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
-        found = _is_child(system, f, j, stats, record, held, root_outside)
+        found = _is_child(system, f, j, stats, record, held)
         if found is not None:
             yield (j, *found)
 
@@ -486,16 +479,15 @@ def reverse_search(system: SetSystem,
 
     The traversal's whole state is the current node, its depth parity, the
     neighbor position its scan resumes at, its path record and ancestor
-    chain, the held parent and, once a child test needs it, the set of
-    elements outside the root's, read from the root's ordering; no
-    ordering is carried from node to node.  Record and chain hold, per
-    step from the root, a bitmask of elements outside that probe's fill,
-    the ordering element the step flips and the step's neighbor position:
-    O(depth) ints each (see ``_follow``; without a ``step_position`` an
-    entry is ``(0, None, k)``).  The child test follows the record before
-    it walks.  The root's record and chain are empty.  A descent gives the
-    child the record of its canonical path and appends that record's last
-    step, the tree edge to the child, to the chain.  A backtrack pops the
+    chain and the held parent; no ordering is carried from node to node.
+    Record and chain hold, per step from the root, a bitmask of elements
+    outside that probe's fill, the ordering element the step flips and the
+    step's neighbor position: O(depth) ints each (see ``_follow``; without
+    a ``step_position`` an entry is ``(0, None, k)``).  The child test
+    follows the record before it walks.  The root's record and chain are
+    empty.  A descent gives the child the record of its canonical path and
+    appends that record's last step, the tree edge to the child, to the
+    chain.  A backtrack pops the
     chain and gives the parent its chain as its record: canonical paths
     are not closed under prefixes, so the child's record without its last
     step may pass the parent's parent by, while the chain never does.
@@ -514,22 +506,13 @@ def reverse_search(system: SetSystem,
     current, odd, j = system.root, False, 0
     chain = record = []  # the root's record and chain are both empty
     held = []  # the held parent and its owner position, or None
-    root_out = None  # read from the root's ordering once a test needs it
-
-    def root_outside() -> int:
-        nonlocal root_out
-        if root_out is None:
-            stats.orderings += 1
-            root_out = _prefix_mask(system.ordering(system.root), 0, None, 0)
-        return root_out
-
     stats.note_retained(1)
     stats.note_emission()
     yield current
 
     while True:
-        found = next(_children(system, current, j, stats, record, held,
-                               root_outside), None)
+        found = next(_children(system, current, j, stats, record, held),
+                     None)
         if found is not None:
             held[:] = current, found[0]
             _, current, record = found
@@ -556,6 +539,7 @@ def visited_set_search(system: SetSystem,
     if stats is None:
         stats = TraversalStats()
     seen = {system.root}
+    stats.note_retained(len(seen))
     queue = deque([system.root])
     while queue:
         f = queue.popleft()

@@ -538,9 +538,10 @@ def test_trace_pulled_in_random_pieces_matches_one_force():
     random starts against random fills, by ``element`` and by prefix reads
     ``trace[:n]``, computes the elements one ``force`` does.  A pull that
     finds its fill hit stops there, and a prefix read at position n - 1; a
-    negative n reads the whole trace.  The completions are minimal, chordal
-    but not minimal, or not chordal: the last trace ends where the
-    reduction stalls, which the networkx re-test reference also does."""
+    negative n, or none, raises TypeError and pulls nothing.  The
+    completions are minimal, chordal but not minimal, or not chordal: the
+    last trace ends where the reduction stalls, which the networkx re-test
+    reference also does."""
     rng = random.Random(514229)
     hits = 0
     for _ in range(400):
@@ -576,9 +577,13 @@ def test_trace_pulled_in_random_pieces_matches_one_force():
                     assert len(trace._seq) == max(known, pos + 1)
             if read:
                 known = len(trace._seq)
-                assert trace[:n] == full[:n]
-                assert len(trace._seq) == (end if n < 0
-                                           else max(known, min(n, end)))
+                if n < 0:
+                    for key in (slice(n), slice(None)):
+                        with pytest.raises(TypeError):
+                            trace[key]
+                else:
+                    assert trace[:n] == full[:n]
+                assert len(trace._seq) == max(known, min(n, end))
             assert len(trace._seq) <= max(known, end)
             assert trace._seq == list(full[:len(trace._seq)])
         assert trace.force() == full

@@ -189,12 +189,14 @@ def test_reverse_search_retains_at_most_three_solutions():
 
 
 def test_visited_set_retains_every_solution():
-    g = helpers.cycle_graph(7)
-    stats = TraversalStats()
-    count = sum(1 for _ in visited_set_search(chordal_completion_system(g),
-                                              stats))
-    assert count == 42
-    assert stats.peak_retained == count
+    # The visited set holds the root from the start, so a graph with one
+    # minimal completion (a path on 3 vertices) retains one solution.
+    for g, total in ((helpers.cycle_graph(7), 42), (helpers.path_graph(3), 1)):
+        stats = TraversalStats()
+        count = sum(1 for _ in visited_set_search(
+            chordal_completion_system(g), stats))
+        assert count == total
+        assert stats.peak_retained == count
 
 
 def test_gap_counters_are_bounded():
@@ -408,8 +410,9 @@ def test_generic_parent_walk_evaluates_each_neighbor_once_per_step():
 
 def test_ordering_prefixes_are_tuples(monkeypatch):
     # order[:n] is the tuple of the ordering's first n elements, and on a
-    # removal trace reading a prefix already computed pulls nothing; a key
-    # that is no prefix, an int or a stepped slice, raises TypeError.  The
+    # removal trace reading a prefix already computed pulls nothing; any
+    # other key, an int, a stepped slice, a negative n or no n, raises
+    # TypeError (force() reads the whole trace).  The
     # subset system's proximity reads a tuple prefix, where a start s
     # claims the first s elements matched, so it goes up to the prefix's
     # own proximity.
@@ -423,14 +426,13 @@ def test_ordering_prefixes_are_tuples(monkeypatch):
         sols = list(visited_set_search(system))
         target = rng.choice(sols)
         elements = system.ordering(target).force()
-        assert system.ordering(target)[:] == elements
         edges = removal_order(target)
         for f in rng.sample(sols, min(3, len(sols))):
             full = system.proximity(f, system.ordering(target), 0)
             assert proximity(f, edges) == full
             for n in range(len(elements) + 2):
                 trace = system.ordering(target)
-                for key in (n, slice(0, n, 2)):
+                for key in (n, slice(0, n, 2), slice(-n - 1), slice(None)):
                     with pytest.raises(TypeError):
                         trace[key]
                 head = trace[:n]
@@ -472,6 +474,19 @@ def test_only_child_tests_build_orderings():
             if plain.neighbor_at(f, j) not in (plain.root, f))
         assert calls[0] == stats.orderings == candidates == 164
         assert (stats.backtrack_walks, stats.held_backtracks) == kinds
+    # No ordering is built for the root, which is never a candidate.
+    system = chordal_completion_system(_relabelled_cubic14(11))
+    at_root = []
+
+    def ordering(f):
+        at_root.append(f == system.root)
+        return system.ordering(f)
+
+    stats = TraversalStats()
+    search = reverse_search(dataclasses.replace(system, ordering=ordering),
+                            stats)
+    assert sum(1 for _ in zip(range(100), search)) == 100
+    assert len(at_root) == stats.orderings and not any(at_root)
 
 
 def test_reverse_search_work_counters_are_frozen():
@@ -480,16 +495,18 @@ def test_reverse_search_work_counters_are_frozen():
     # that reaches the path test is settled by a check walk or by the
     # scanning node's path record; the generic system has none to follow.
     # Every backtrack replays the ancestor chain or returns to the held
-    # parent.  On the first 100 solutions of a relabelled cubic14, records
-    # that skip every element outside the root's set at the root's step
-    # settle 35 child tests that walked before (78 check walks), for one
-    # more ordering, the root's; handing each parent its ancestor chain at
-    # a backtrack, and holding the grandparent at every replay, settle 20
-    # more (43 check walks) and cut backtrack walks 51 -> 42 and walk steps
-    # 735 -> 524.  Replaying the chain in the generic system too, instead of
-    # walking toward the node's ordering, builds no ordering at a backtrack
-    # (176 -> 171) and steps along the tree path to the parent (walk steps
-    # 63 -> 44).
+    # parent.  On the first 100 solutions of a relabelled cubic14, a
+    # record's root step skips only the elements its own bitmask holds, no
+    # longer every element outside the root's set: six child tests that
+    # the root's set settled take a check walk again (23 -> 29), each
+    # stopping at the root, so walk steps stay 524 and path tests 1,050,
+    # and the root's ordering is no longer built (2,166 -> 2,165).  Handing
+    # each parent its ancestor chain at a backtrack, and holding the
+    # grandparent at every replay, cut backtrack walks 51 -> 42 and walk
+    # steps 735 -> 524.  Replaying the chain in the generic system too,
+    # instead of walking toward the node's ordering, builds no ordering at a
+    # backtrack (176 -> 171) and steps along the tree path to the parent
+    # (walk steps 63 -> 44).
     cases = [
         (chordal_completion_system(helpers.cycle_graph(7)), None,
          (42, 168, 164, 0, 18, 28, 3), 164, 41),
@@ -498,7 +515,7 @@ def test_reverse_search_work_counters_are_frozen():
         (helpers.subset_swap_system(6, 3), None,
          (20, 791, 171, 81, 19, 44, 3), 81, 19),
         (chordal_completion_system(_relabelled_cubic14(11)), 100,
-         (100, 2189, 2166, 23, 42, 524, 3), 1050, 95),
+         (100, 2189, 2165, 29, 42, 524, 3), 1050, 95),
     ]
     names = ("solutions", "neighbor_evals", "orderings", "check_walks",
              "backtrack_walks", "walk_steps", "peak_retained")
@@ -692,9 +709,9 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
         up, j, handed[0] = real_backtrack(*args)
         return up, j, handed[0]
 
-    def checked(system, f, j, stats, record, held, root_outside):
+    def checked(system, f, j, stats, record, held):
         verdicts, walks = stats.record_verdicts, stats.check_walks
-        found = real(system, f, j, stats, record, held, root_outside)
+        found = real(system, f, j, stats, record, held)
         if stats.record_verdicts > verdicts:
             walked = real(system, f, j, TraversalStats(), None, [])
             assert (found is None) == (walked is None)
@@ -707,7 +724,7 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
             _assert_canonical_record(system, *found)
         return found
 
-    def walking(system, f, j, stats, record, held, root_outside):
+    def walking(system, f, j, stats, record, held):
         return real(system, f, j, stats, None, held)
 
     monkeypatch.setattr(chordalenum.engine, "_backtrack", backtrack)
@@ -806,8 +823,8 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
         held.clear()
         return checked(system, node, chain, held, stats)
 
-    def holding_none(system, f, j, stats, record, held, root_outside):
-        return real_is_child(system, f, j, stats, record, [], root_outside)
+    def holding_none(system, f, j, stats, record, held):
+        return real_is_child(system, f, j, stats, record, [])
 
     # Relabelling 56 returns early on to a held parent that the chain
     # replay held and whose owner lies below the position of its step.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import doctest
 import io
@@ -86,3 +87,24 @@ def test_unknown_mode_is_rejected_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match="unknown mode"):
         minimal_chordal_completions(helpers.cycle_graph(4), mode="dfs")
     assert built == []
+
+
+def test_every_import_is_used_or_exported():
+    # No linter runs here, so this stands in for an unused-import check: a
+    # name that a module of the package imports is read in that module or
+    # listed in its __all__, so a deletion leaves no orphaned import.
+    for path in sorted(pathlib.Path(chordalenum.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used, exported = set(), set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                imported.update((a.asname or a.name).split(".")[0]
+                                for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+        assert not imported - used - exported, path.name

@@ -29,7 +29,8 @@ def _load_code_lines():
 ])
 def test_ab_compares_the_working_tree_with_itself(options):
     # Both sides are this checkout, so the digests must agree, and so must
-    # the work counters of a search workload (verify_small prints none).
+    # the work counters of a search workload (verify_small prints none),
+    # which include the two that as_dict() leaves out.
     searches = "verify_small" not in options
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
@@ -40,6 +41,8 @@ def test_ab_compares_the_working_tree_with_itself(options):
     assert "B/A CPU-time ratio: median" in done.stdout
     assert ("counters: identical" in done.stdout) == searches
     assert ("counters B: solutions " in done.stdout) == searches
+    for name in ("record_verdicts", "held_backtracks"):
+        assert (f" {name} " in done.stdout) == searches
 
 
 # Code lines: ``x = 1``, the three lines of the string token, ``def f():``,

@@ -24,10 +24,11 @@ A's) of those ratios.  Under that line it prints the same figures for each
 side's second run over its first, an A/A and a B/B comparison that shows
 the noise of this very run beside the result.  For the reverse-search and
 visited-set workloads it then prints each side's ``TraversalStats.as_dict()``
-from its first run of every input, summed over the inputs (``peak_retained``
-is their maximum), and whether the two sides' counters are identical: an
-exact work-count effect shows there without the timing noise.  It exits 1
-if any digest differs.  Standard library and git only.
+and, where that side's ``TraversalStats`` has them, its ``record_verdicts``
+and ``held_backtracks``, from its first run of every input, summed over the
+inputs (``peak_retained`` is their maximum), and whether the two sides'
+counters are identical: an exact work-count effect shows there without the
+timing noise.  It exits 1 if any digest differs.  Standard library and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
@@ -68,6 +69,9 @@ INPUTS = {"cubic14_rs": 40, "cubic14_vs": 12, "verify_small": 2000,
           "scale_rs": 6}
 VS_PREFIX = 2000  # cubic14_vs solutions enumerated per input
 SCALE_PREFIX = 25  # scale_rs solutions enumerated per input
+# Counters that as_dict() leaves out: check_walks + record_verdicts is the
+# number of path tests, backtrack_walks + held_backtracks of backtracks.
+EXTRA_COUNTERS = ("record_verdicts", "held_backtracks")
 
 
 class Cubic(NamedTuple):
@@ -154,8 +158,9 @@ def workload_inputs(package, workload: str, seed: int, count: int,
 
 def run_one(package, workload: str, inp, limit) -> tuple[float, str, dict]:
     """CPU seconds of one input under ``package``, set-up included, the
-    digest of what it emitted and the search's ``TraversalStats.as_dict()``
-    (empty for ``verify_small``)."""
+    digest of what it emitted and the search's counters (empty for
+    ``verify_small``): ``TraversalStats.as_dict()`` and the ``EXTRA_COUNTERS``
+    this version's ``TraversalStats`` has."""
     digest = hashlib.sha256()
     counters = {}
     gc.collect()
@@ -173,6 +178,8 @@ def run_one(package, workload: str, inp, limit) -> tuple[float, str, dict]:
         stats = package.TraversalStats()
         items = [f.mask for f in islice(search(system, stats), limit)]
         counters = stats.as_dict()
+        counters.update((name, getattr(stats, name))
+                        for name in EXTRA_COUNTERS if hasattr(stats, name))
     elapsed = time.process_time() - start
     for item in items:
         digest.update(f"{item},".encode())
