@@ -554,16 +554,12 @@ def visited_set_search(system: SetSystem,
                 stats.note_retained(len(seen))
 
 
-def _fill_index_at(mask: int, j: int) -> int:
-    """Index of the (j+1)-th lowest set bit of ``mask``; IndexError when j
-    is not in ``range(mask.bit_count())``."""
-    rest = mask
-    for _ in range(j):
-        rest &= rest - 1
-    if not rest or j < 0:
-        raise IndexError(f"neighbor position {j} is not in "
-                         f"range({mask.bit_count()})")
-    return (rest & -rest).bit_length() - 1
+# Fill masks per generation of the chordal system's store, which holds at
+# most two generations (see chordal_completion_system).  Chosen by
+# measurement on the 14-vertex cubic instance (see CHANGES.md): CPU time
+# falls as generations grow, by less at each doubling, while memory grows
+# by about 1.3 KiB per stored mask; 128 keeps the store near 0.33 MiB.
+STORE_GENERATION = 128
 
 
 def chordal_completion_system(g: Graph) -> SetSystem:
@@ -575,46 +571,63 @@ def chordal_completion_system(g: Graph) -> SetSystem:
     rank, among the fill edges, of the ordering element right after the
     matched prefix; the engine steps by ``neighbor_at`` at that position.
 
-    A neighbor evaluation is one stored entry and one call of each kernel,
-    ``_flip`` then ``_reduce``, which starts from the ``near`` pairs and the
-    cover that ``_flip`` returns, so its clique tests skip the clique the flip
-    leaves.  An entry holds a fill mask and its filled adjacency as a list.
-    The system builds the root's entry at set-up and keeps two more, those of
-    the other masks used last: a scan flips one node's fill edges in turn,
-    walks restart at the root, and the kernel ends holding its result's
-    adjacency, which becomes the newest entry and the next probe of a walk.  An
-    entry built from its mask also holds the list of its fill indices, so a
-    scan reads position j in one step; a kernel result's entry, which a walk
-    uses once, holds none, and a call on it walks j bits.  The kernels edit a
-    copy, never an entry, so traversals interleaved over one system get the
-    same answers.
+    The system keeps one store keyed by fill mask, which answers what
+    reverse search asks again: check walks and chain replays step again
+    through the probes near the root, and one candidate is tested from
+    several nodes.  An entry is a list of the mask's neighbor masks by
+    position, then its ``RemovalTrace``, its filled adjacency and the list
+    of its fill indices, each None until first needed.  A trace keeps
+    growing lazily across the proximity queries of every child test that
+    reads it.  Entries hold ints and traces, never a ``Completion``.  The
+    store is two dicts, generations of at most ``STORE_GENERATION`` masks: a
+    mask used moves to the newer one, and when the newer one is full it
+    becomes the older and the older is dropped.  So the store holds at most
+    ``2 * STORE_GENERATION`` entries of O(m) ints each, whatever the size of
+    the output; the traversal still holds at most three solutions.
+    Traversals interleaved over one system, such as the two of ``verify``,
+    share the store and get the same answers.
+
+    A neighbor evaluation that the store does not answer calls each kernel
+    once, ``_flip`` then ``_reduce``, on a copy of the entry's adjacency,
+    which the mask's first evaluation builds; the reduction starts from the
+    ``near`` pairs and the cover that ``_flip`` returns, so its clique tests
+    skip the clique the flip leaves.
     """
     ground = len(non_edges(g))
     root = minimal_completion_root(g)
-    root_mask = root.mask
-    root_entry = [root_mask, _filled_masks(g, root_mask),
-                  list(_iter_bits(root_mask))]
-    # Two more entries, least recently used first; the root's holds their
-    # places until other masks are used.
-    recent = [root_entry, root_entry]
+    newer, older = {}, {}  # the store's generations
+
+    def stored(mask: int) -> list:
+        """The entry of ``mask``, which the newer generation lacks; it
+        moves there, from the older one or new."""
+        nonlocal newer, older
+        entry = older.pop(mask, None) or [None] * (mask.bit_count() + 3)
+        if len(newer) >= STORE_GENERATION:
+            older, newer = newer, {}
+        newer[mask] = entry
+        return entry
 
     def neighbor_at(f: Completion, j: int) -> Completion:
         mask = f.mask
-        entry = root_entry if mask == root_mask else recent[1]
-        if entry[0] != mask:  # the older entry or a new one becomes newest
-            entry = recent[0] if recent[0][0] == mask else [
-                mask, _filled_masks(g, mask), list(_iter_bits(mask))]
-            recent[:] = recent[1], entry
-        fills = entry[2]  # None in a kernel result's entry
-        i = (fills[j] if fills and 0 <= j < len(fills)
-             else _fill_index_at(mask, j))
-        masks = list(entry[1])
-        flipped, near, cover = _flip(g, masks, mask, i)
-        result = _reduce(g, masks, flipped, cover, flipped & ~near)[0]
-        if result != root_mask and recent[1][0] != result:
-            recent[:] = recent[1], (recent[0] if recent[0][0] == result
-                                    else [result, masks, None])
+        entry = newer.get(mask) or stored(mask)
+        if not 0 <= j < len(entry) - 3:
+            raise IndexError(f"neighbor position {j} is not in "
+                             f"range({len(entry) - 3})")
+        result = entry[j]
+        if result is None:
+            if entry[-1] is None:
+                entry[-2:] = _filled_masks(g, mask), list(_iter_bits(mask))
+            masks = list(entry[-2])
+            flipped, near, cover = _flip(g, masks, mask, entry[-1][j])
+            result = entry[j] = _reduce(g, masks, flipped, cover,
+                                        flipped & ~near)[0]
         return Completion(g, result)
+
+    def ordering(f: Completion) -> RemovalTrace:
+        entry = newer.get(f.mask) or stored(f.mask)
+        if entry[-3] is None:
+            entry[-3] = RemovalTrace(f)
+        return entry[-3]
 
     def prox(f: Completion, order: RemovalTrace, start: int = 0) -> int:
         return order.prefix_against(f.mask, start)
@@ -645,7 +658,7 @@ def chordal_completion_system(g: Graph) -> SetSystem:
         return [k for k in ranks if k < j]
 
     return SetSystem(root=root, neighbor_count=Completion.size,
-                     neighbor_at=neighbor_at, ordering=RemovalTrace,
+                     neighbor_at=neighbor_at, ordering=ordering,
                      proximity=prox, solution_key=solution_key,
                      step_position=step_position,
                      producing_positions=producing_positions)

@@ -6,6 +6,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import inspect
 import itertools
 import random
 import weakref
@@ -561,20 +562,22 @@ def _count_builds(monkeypatch, *modules) -> list:
 
 
 def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
-    # The chordal system starts successors from stored entries; every answer
-    # must equal the uncached kernel's, whatever the call order.  Every
-    # solution's positions are read in scan order, with a second system over
-    # another graph called between them; then a walk from the root evicts
-    # the scanned node's entry and the same scan runs again, so positions
-    # are read both from an entry's fill-index list and, on the walk's
-    # probes, by walking bits.  A position out of range raises IndexError
-    # both on the call that builds an entry and on a call that finds it
-    # stored.  Only the system's own builds are counted, not the
-    # reference's.
+    # The chordal system answers from its store, or starts successors from
+    # stored adjacencies; every answer must equal the uncached kernel's,
+    # whatever the call order.  Every solution's positions are read in scan
+    # order, with a second system over another graph called between them;
+    # then a walk from the root runs and the same scan runs again.  Every
+    # other graph runs with generations of one mask, so that the walk evicts
+    # the scanned node's entry and the second scan builds its adjacency
+    # again.  A position out of range raises IndexError both on the call
+    # that makes an entry and on a call that finds it stored.  Only the
+    # system's own builds are counted, not the reference's.
     built = _count_builds(monkeypatch, chordalenum.engine)
     rng = random.Random(75025)
     calls = builds = rebuilt = 0
-    for _ in range(40):
+    for index in range(40):
+        monkeypatch.setattr(chordalenum.engine, "STORE_GENERATION",
+                            1 if index % 2 else 128)
         g = helpers.random_graph_at_most(rng, rng.randint(4, 12), 14)
         system = chordal_completion_system(g)
         other = chordal_completion_system(
@@ -614,7 +617,7 @@ def test_stored_adjacencies_give_the_uncached_successors(monkeypatch):
                 assert [fresh.neighbor_at(f, j)
                         for j in range(len(expected))] == expected
     # The corpus reached hits (fewer builds than successor calls) and
-    # evictions (f built again after the walk dropped it).
+    # evictions (f built again after the walk evicted it).
     assert builds < calls / 2
     assert rebuilt > 0
 
@@ -629,26 +632,143 @@ def test_interleaved_reverse_searches_share_one_system():
         assert [x for x, _ in pairs] == [y for _, y in pairs] == alone
 
 
+def _store(system: SetSystem) -> tuple[dict, dict]:
+    """The newer and older generations of a chordal system's store."""
+    stored = inspect.getclosurevars(system.neighbor_at).nonlocals["stored"]
+    generations = inspect.getclosurevars(stored).nonlocals
+    return generations["newer"], generations["older"]
+
+
+def _read_in_pieces(trace, expected: tuple, rng: random.Random) -> None:
+    """Read ``trace`` by element, prefix and proximity query, at random
+    positions and in random order, against the whole trace ``expected``."""
+    for _ in range(6):
+        pos = rng.randrange(len(expected) + 2)
+        kind = rng.randrange(3)
+        if kind == 0:
+            assert trace.element(pos) == (
+                expected[pos] if pos < len(expected) else None)
+        elif kind == 1:
+            assert trace[:pos] == expected[:pos]
+        else:
+            fill = rng.getrandbits(max(expected, default=0) + 1)
+            start = min(pos, len(expected))
+            assert trace.prefix_against(fill, start) == next(
+                (i for i in range(start, len(expected))
+                 if fill >> expected[i] & 1), len(expected))
+
+
+def test_store_answers_as_the_plain_kernels(monkeypatch):
+    # Every neighbor_at(f, j) equals the plain successor, and every
+    # ordering(f), read in random pieces, equals a fresh removal trace, both
+    # while f's entry is stored and after the store has evicted it (the
+    # system then returns another trace object).  Random graphs on 4-14
+    # vertices run with generations of 1, 4 and 128 masks, read every
+    # solution twice, and read positions in random order; then a relabelled
+    # cubic14 is read along its first 600 reverse-search solutions, with a
+    # second system's traversal interleaved.  Interleaved reads leave the
+    # emissions as they are alone.
+    rng = random.Random(196418)
+    kept = evicted = 0
+
+    def check(system, f, traces):
+        nonlocal kept, evicted
+        size = f.size()
+        for j in rng.sample(range(size), size):
+            assert system.neighbor_at(f, j) == successor(f, f.fill_edges[j])
+        trace = system.ordering(f)
+        if f.mask in traces:
+            if trace is traces[f.mask]:
+                kept += 1
+            else:
+                evicted += 1
+        traces[f.mask] = trace
+        _read_in_pieces(trace, chordalenum.completions.RemovalTrace(
+            f).force(), rng)
+
+    for index in range(45):
+        monkeypatch.setattr(chordalenum.engine, "STORE_GENERATION",
+                            (1, 4, 128)[index % 3])
+        g = helpers.random_graph_at_most(rng, rng.randint(4, 14), 12)
+        system = chordal_completion_system(g)
+        sols, traces = list(reverse_search(system)), {}
+        for f in sols + rng.sample(sols, len(sols)):
+            check(system, f, traces)
+    assert kept and evicted
+    monkeypatch.setattr(chordalenum.engine, "STORE_GENERATION", 128)
+    kept = evicted = 0
+    system, other = (chordal_completion_system(_relabelled_cubic14(seed))
+                     for seed in (5, 6))
+    traces, early = {}, []
+    emitted = []
+    for f, h in itertools.islice(zip(reverse_search(system),
+                                     reverse_search(other)), 600):
+        check(system, f, traces)
+        if h.mask:
+            k = rng.randrange(h.size())
+            assert other.neighbor_at(h, k) == successor(h, h.fill_edges[k])
+        emitted.append(f.mask)
+        if len(early) < 20:
+            early.append(f)
+    assert hashlib.sha256(repr(emitted).encode()).hexdigest()[:16] == \
+        "226c7a76b0e66f9a"
+    # The root's entry stays, as every walk reads it; most others are gone.
+    for f in early:
+        check(system, f, traces)
+    assert kept + evicted == len(early) and evicted > kept
+
+
+def test_store_holds_at_most_two_generations(monkeypatch):
+    # After a 2,000-solution prefix of a relabelled cubic14 the store holds
+    # at most 2 * STORE_GENERATION masks, each in one generation, and its
+    # entries hold ints and traces only, no solution.  With generations of
+    # one mask the emissions are still the frozen ones.
+    g = _relabelled_cubic14(11)
+    for generation in (chordalenum.engine.STORE_GENERATION, 1):
+        monkeypatch.setattr(chordalenum.engine, "STORE_GENERATION",
+                            generation)
+        system = chordal_completion_system(g)
+        masks = [f.mask for f in itertools.islice(reverse_search(system),
+                                                  2000)]
+        assert hashlib.sha256(repr(masks).encode()).hexdigest()[:16] == \
+            "b0db09266d1f07f7"
+        newer, older = _store(system)
+        assert len(newer) + len(older) <= 2 * generation
+        assert len(newer) <= generation and not newer.keys() & older.keys()
+        for entry in (*newer.values(), *older.values()):
+            *neighbors, trace, rows, fills = entry
+            assert all(x is None or type(x) is int for x in neighbors)
+            assert trace is None or type(
+                trace) is chordalenum.completions.RemovalTrace
+            assert (rows is None) == (fills is None)
+            assert all(type(x) is int for x in (*(rows or ()),
+                                                *(fills or ())))
+
+
 def test_adjacency_builds_are_at_most_one_per_solution(monkeypatch):
-    # Set-up builds one, the root's adjacency (the root itself is reduced
-    # from K_n, which needs no build); after that the stored adjacencies
-    # leave at most one build per solution, against one per successor call
-    # without them (196 successor calls on C7 with reverse search, 168 with
-    # the visited set).
+    # Set-up builds no adjacency (the root is reduced from K_n, which needs
+    # no build).  After that the store builds a mask's filled adjacency at
+    # its first evaluation and keeps it in the mask's entry, so these
+    # graphs, which the store holds whole, take exactly one build per
+    # solution, against one per successor call without it (196 successor
+    # calls on C7 with reverse search, 168 with the visited set).  Before
+    # the store the system kept three adjacencies and built the root's at
+    # set-up: reverse search then built 1 + 5 on C7 and 1 + 9 on the
+    # second graph.
     built = _count_builds(monkeypatch, chordalenum.completions,
                           chordalenum.engine)
     cases = [
-        (helpers.cycle_graph(7), reverse_search, 42, 5),
-        (helpers.cycle_graph(7), visited_set_search, 42, 41),
-        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 9),
-        (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 19),
+        (helpers.cycle_graph(7), reverse_search, 42, 42),
+        (helpers.cycle_graph(7), visited_set_search, 42, 42),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), reverse_search, 21, 21),
+        (Graph(11, OWNER_BELOW_STEP_EDGES), visited_set_search, 21, 21),
     ]
     for g, search, solutions, builds in cases:
         built.clear()
         system = chordal_completion_system(g)
-        assert built == [system.root.mask]
+        assert built == []
         assert sum(1 for _ in search(system)) == solutions
-        assert len(built) - 1 == builds <= solutions
+        assert len(built) == builds <= solutions
 
 
 def _relabelled_cubic14(seed: int) -> Graph:

@@ -4,6 +4,7 @@ in CHANGES.md rest on."""
 from __future__ import annotations
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,7 +31,8 @@ def _load_code_lines():
 def test_ab_compares_the_working_tree_with_itself(options):
     # Both sides are this checkout, so the digests must agree, and so must
     # the work counters of a search workload (verify_small prints none),
-    # which include the two that as_dict() leaves out.
+    # which include the two that as_dict() leaves out.  Each side's traced
+    # memory peak is printed for every workload.
     searches = "verify_small" not in options
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT), str(ROOT),
@@ -43,6 +45,9 @@ def test_ab_compares_the_working_tree_with_itself(options):
     assert ("counters B: solutions " in done.stdout) == searches
     for name in ("record_verdicts", "held_backtracks"):
         assert (f" {name} " in done.stdout) == searches
+    peak = re.search(r"^tracemalloc peak, input 0: A (\d+\.\d{3}) MiB, "
+                     r"B (\d+\.\d{3}) MiB$", done.stdout, re.MULTILINE)
+    assert peak and float(peak[1]) > 0 and float(peak[2]) > 0
 
 
 # Code lines: ``x = 1``, the three lines of the string token, ``def f():``,

@@ -28,7 +28,10 @@ and, where that side's ``TraversalStats`` has them, its ``record_verdicts``
 and ``held_backtracks``, from its first run of every input, summed over the
 inputs (``peak_retained`` is their maximum), and whether the two sides'
 counters are identical: an exact work-count effect shows there without the
-timing noise.  It exits 1 if any digest differs.  Standard library and git only.
+timing noise.  Last it prints each side's ``tracemalloc`` peak from one more
+run of the first input, untimed, so that what a cache costs in memory shows
+beside its CPU ratio.  It exits 1 if any digest differs.  Standard library
+and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
@@ -59,6 +62,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
@@ -223,6 +227,8 @@ def main(argv=None) -> int:
                 print(f"input {index}: digests {sorted(da)} (A) != "
                       f"{sorted(db)} (B)")
             runs.append(times)
+        peaks = [traced_peak(package, args.workload, inputs[0], limit)
+                 for package in packages]
     totals = [sum(sum(t[side]) for t in runs) for side in (0, 1)]
     size = f" n={args.vertices}" if args.workload == "scale_rs" else ""
     print(f"{args.workload}{size} seed {args.seed}: {len(inputs)} inputs, "
@@ -240,7 +246,19 @@ def main(argv=None) -> int:
                 f"{key} {value:,}" for key, value in counts[side].items()))
         print("counters: "
               + ("identical" if counts[0] == counts[1] else "differ"))
+    print(f"tracemalloc peak, input 0: A {peaks[0] / 2**20:.3f} MiB, "
+          f"B {peaks[1] / 2**20:.3f} MiB")
     return 1 if differ else 0
+
+
+def traced_peak(package, workload: str, inp, limit) -> int:
+    """The ``tracemalloc`` peak in bytes of one ``run_one`` of ``inp``."""
+    tracemalloc.start()
+    try:
+        run_one(package, workload, inp, limit)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def add_counters(total: dict, counters: dict) -> None:
