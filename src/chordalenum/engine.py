@@ -8,7 +8,7 @@ agrees, and a step position names the neighbor that moves strictly closer
 to any target.  The parent of a solution is the last stop before it on the
 canonical path from the root; children are recomputed on demand, so the
 traversal retains only a constant number of solutions at a time: the
-current node, the candidate child or a walk probe, and the held parent.
+current node, the candidate child, and one neighbor or walk probe.
 
 The canonical walk is written once, in ``_path``: ``canonical_path``,
 ``next_toward``, ``parent`` and the child test's check walk all read from
@@ -26,13 +26,13 @@ query grows in one call up to the first element inside the probe's fill);
 node, with one entry per step from the root: a bitmask of elements outside
 that probe's set, the ordering element the step flips and the step's
 neighbor position.  Its ancestor chain has one entry per tree edge: every
-backtrack, in every system, returns to the held parent or replays the
-parent's chain (``_replay``), reading no ordering, so no ordering is
-carried from node to node.  Where the system has a ``step_position``, its
-path record is a path of proven steps to it, which the child test follows
-along the candidate's ordering (``_follow``), walking from the root only
-when that leaves a step open; a backtrack gives the parent its chain as
-its record.  Without one, an entry holds only the step's position.
+backtrack, in every system, replays the parent's chain (``_backtrack``),
+reading no ordering, so no ordering is carried from node to node.  Where
+the system has a ``step_position``, its path record is a path of proven
+steps to it, which the child test follows along the candidate's ordering
+(``_follow``), walking from the root only when that leaves a step open; a
+backtrack gives the parent its chain as its record.  Without one, an entry
+holds only the step's position.
 """
 
 from __future__ import annotations
@@ -126,16 +126,14 @@ class TraversalStats:
 
     ``solutions`` counts emissions, and each name in ``_COUNTERS`` is a work
     counter.  ``peak_retained`` tracks the largest number of solutions the
-    traversal held at once in its named slots (current node, candidate
-    child or walk probe, held parent); the visited-set baseline counts its
-    whole visited set instead.  ``record_verdicts`` counts the child tests
-    that a path record settled instead of a check walk, so ``check_walks +
-    record_verdicts`` is the number that reached the path test, and
-    ``held_backtracks`` the backtracks to a held parent, which take no
-    walk, so ``backtrack_walks + held_backtracks`` is the number of
-    backtracks.  Neither costs a successor call, so neither is a work
-    counter, and ``as_dict`` leaves them out.  Every backtrack walk is a
-    replay of the ancestor chain, which builds no ordering, so
+    traversal retained at once in its named slots (the current node, the
+    candidate child or a replay probe, and one neighbor or walk probe); the
+    visited-set baseline counts its whole visited set instead.
+    ``record_verdicts`` counts the child tests that a path record settled
+    instead of a check walk, so ``check_walks + record_verdicts`` is the
+    number that reached the path test; it costs no successor call, so it
+    is not a work counter, and ``as_dict`` leaves it out.  Every backtrack
+    is a walk, a replay of the ancestor chain, which builds no ordering, so
     ``orderings`` counts exactly the child tests' orderings.  With
     ``record_gaps`` the per-emission deltas of the work counters are kept
     in ``gap_<counter>`` lists, which is what the delay-structure
@@ -143,12 +141,11 @@ class TraversalStats:
     """
 
     __slots__ = ("solutions", *_COUNTERS, "record_verdicts",
-                 "held_backtracks", "peak_retained", "record_gaps",
+                 "peak_retained", "record_gaps",
                  *("gap_" + c for c in _COUNTERS), "_last")
 
     def __init__(self, record_gaps: bool = False) -> None:
         self.solutions = self.peak_retained = self.record_verdicts = 0
-        self.held_backtracks = 0
         for c in _COUNTERS:
             setattr(self, c, 0)
             setattr(self, "gap_" + c, [])
@@ -188,7 +185,7 @@ def _step_position(system: SetSystem, f: Any, order: Sequence,
             key = system.solution_key(nb)
             if best is None or key < best_key:
                 best, best_key = j, key
-        del nb  # not held while the next neighbor is computed
+        del nb  # dropped before the next neighbor is computed
     if best is None:
         raise ProximitySearchError(
             "no neighbor is closer to the target; the system is not "
@@ -251,15 +248,13 @@ def parent(system: SetSystem, f: Any) -> Any:
 
 
 def _first_position(system: SetSystem, f: Any, cand: Any, j: int,
-                    stats: TraversalStats, held: list) -> int:
+                    stats: TraversalStats) -> int:
     """The smallest neighbor position of ``f`` producing ``cand``, given
     that position ``j`` produces it.  Only the positions that the system's
     ``producing_positions`` names are evaluated (every position below ``j``
-    without it), and the first evaluation drops the held parent, whose slot
-    it takes."""
+    without it)."""
     producing = system.producing_positions
     for k in range(j) if producing is None else producing(f, cand, j):
-        held.clear()
         stats.neighbor_evals += 1
         stats.note_retained(3)
         if system.neighbor_at(f, k) == cand:
@@ -327,12 +322,10 @@ def _walked_record(walk: Iterable, head: Sequence, k: int) -> list:
 
 
 def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list
-              ) -> Optional[tuple[Any, list]]:
+              record: Optional[list]) -> Optional[tuple[Any, list]]:
     """The neighbor of ``f`` at position ``j`` with its path record if it is
     a child of ``f`` in the arborescence owned by that position, else None.
-    ``held`` is the traversal's held parent, if any: a test that needs its
-    slot drops it.  The candidate's ordering is built here and dropped.
+    The candidate's ordering is built here and dropped.
 
     ``f`` is the parent iff the canonical step out of ``f`` toward the
     candidate lands on it and ``f`` lies on the canonical path; position
@@ -348,33 +341,28 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
     walks.  The check walk stops on meeting ``f`` or on reaching a probe
     whose proximity is ``i_f``, f's own, or more, since proximity strictly
     increases along the path; the candidate's is the ordering's length,
-    more than ``i_f``, so the walk needs no candidate in hand.  With a
-    parent held, it gives up the candidate's slot and recomputes a child it
-    finds.  A child found by the
+    more than ``i_f``, so the walk passes no target.  A child found by the
     walk takes the walk's steps as its record (``_walked_record``).  In a
     system without ``step_position`` a child's record is the one entry of
     its tree edge, ``(0, None, k)``, which only the ancestor chain reads.
     """
     stats.neighbor_evals += 1
     cand = system.neighbor_at(f, j)
-    stats.note_retained(2 + bool(held))
+    stats.note_retained(2)
     if cand == system.root or cand == f:
         return None
     order = system.ordering(cand)
     stats.orderings += 1
     i_f = system.proximity(f, order, 0)
-    if system.step_position is None:
-        held.clear()  # the fallback evaluates every neighbor of f
     k = _step_position(system, f, order, i_f)
     if k < j:
         return None
     if k > j:
-        held.clear()
         stats.neighbor_evals += 1
         stats.note_retained(3)
         if system.neighbor_at(f, k) != cand:
             return None
-    if _first_position(system, f, cand, j, stats, held) < j:
+    if _first_position(system, f, cand, j, stats) < j:
         return None
     # Only a system with a step_position has records to follow.
     head = None if system.step_position is None else order[:i_f + 1]
@@ -385,7 +373,6 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
             return (cand, steps) if steps else None
     stats.check_walks += 1
     stats.note_retained(3)
-    cand = None if held else cand
     proximities, positions = [], []
     for probe, i, step in _path(system, system.root, None, order, stats):
         if step is not None:
@@ -395,74 +382,49 @@ def _is_child(system: SetSystem, f: Any, j: int, stats: TraversalStats,
         if i >= i_f:
             return None
         proximities.append(i)
-    if cand is None:
-        stats.neighbor_evals += 1
-        cand = system.neighbor_at(f, j)
     return cand, ([(0, None, k)] if head is None else _walked_record(
         zip(proximities, positions), head, k))
 
 
 def _children(system: SetSystem, f: Any, j: int, stats: TraversalStats,
-              record: Optional[list], held: list
-              ) -> Iterator[tuple[int, Any, list]]:
+              record: Optional[list]) -> Iterator[tuple[Any, list]]:
     """The children of ``f`` at neighbor position ``j`` or later, in scan
-    order, each as its position, the child and its path record, given
-    ``f``'s ``record`` and the held parent (see ``_is_child``).  The root
-    is never anyone's child."""
+    order, each with its path record, given ``f``'s ``record`` (see
+    ``_is_child``).  The root is never anyone's child."""
     for j in range(j, system.neighbor_count(f)):
-        found = _is_child(system, f, j, stats, record, held)
+        found = _is_child(system, f, j, stats, record)
         if found is not None:
-            yield (j, *found)
+            yield found
 
 
 def children(system: SetSystem, f: Any) -> list:
     """The children of ``f`` in the arborescence, in scan order; a child
     appears once, at the smallest neighbor position producing it."""
-    return [c for _, c, _ in _children(system, f, 0, TraversalStats(), None,
-                                       [])]
+    return [c for c, _ in _children(system, f, 0, TraversalStats(), None)]
 
 
-def _replay(system: SetSystem, chain: list, held: list,
-            stats: TraversalStats) -> Any:
-    """The node whose ancestor chain is ``chain``: the probe that the
-    chain's steps reach from the root by ``neighbor_at`` at their
-    positions, reading no ordering.  The probe before it, its parent,
-    becomes the held parent, its owner still to be found."""
-    probe = system.root
-    for _, _, k in chain:
-        held[:] = probe, None
-        probe = system.neighbor_at(probe, k)
-        stats.walk_steps += 1
-    return probe
-
-
-def _backtrack(system: SetSystem, node: Any, chain: list, held: list,
+def _backtrack(system: SetSystem, node: Any, chain: list,
                stats: TraversalStats) -> tuple[Any, int, list]:
     """The parent of ``node``, the scan position that resumes it (one past
     the position owning ``node``) and the parent's path record.
 
     ``chain`` is ``node``'s ancestor chain, one entry per tree edge from
     the root; its last entry is popped and the rest, the parent's chain, is
-    the parent's record.  A held parent takes no walk; else the parent's
-    chain is replayed (``_replay``), which holds the grandparent.  Replay
-    is sound in every system: the chain's positions are canonical step
-    positions and ``neighbor_at`` is deterministic in its position.  The
-    owner of ``node`` is the descent's scan position when the parent was
-    held by it, else found below the popped step's position, which
-    produces ``node``.
+    the parent's record.  The parent is the probe that the parent's chain
+    reaches from the root by ``neighbor_at`` at its positions, reading no
+    ordering.  Replay is sound in every system: the chain's positions are
+    canonical step positions and ``neighbor_at`` is deterministic in its
+    position.  The owner of ``node`` is found below the popped step's
+    position, which produces ``node``.
     """
     bound = chain.pop()[2]
-    if held:
-        stats.held_backtracks += 1
-        up, owner = held
-        held.clear()
-    else:
-        stats.backtrack_walks += 1
-        stats.note_retained(3)
-        up, owner = _replay(system, chain, held, stats), None
-    if owner is None:
-        owner = _first_position(system, up, node, bound, stats, held)
-    return up, owner + 1, chain
+    stats.backtrack_walks += 1
+    stats.note_retained(3)
+    up = system.root
+    for _, _, k in chain:
+        up = system.neighbor_at(up, k)
+        stats.walk_steps += 1
+    return up, _first_position(system, up, node, bound, stats) + 1, chain
 
 
 def reverse_search(system: SetSystem,
@@ -474,12 +436,13 @@ def reverse_search(system: SetSystem,
     on exit from their subtree, which bounds the work between consecutive
     emissions by a constant number of children scans and backtracking parent
     recomputations.  At any instant at most three solutions are retained:
-    the current node, the candidate child under test or the probe of a
-    walk, and the held parent.
+    the current node, the candidate child under test, and one neighbor or
+    walk probe; a backtrack keeps the node it leaves and two probes of its
+    replay.
 
     The traversal's whole state is the current node, its depth parity, the
-    neighbor position its scan resumes at, its path record and ancestor
-    chain and the held parent; no ordering is carried from node to node.
+    neighbor position its scan resumes at, and its path record and ancestor
+    chain; no ordering is carried from node to node.
     Record and chain hold, per step from the root, a bitmask of elements
     outside that probe's fill, the ordering element the step flips and the
     step's neighbor position: O(depth) ints each (see ``_follow``; without
@@ -492,30 +455,24 @@ def reverse_search(system: SetSystem,
     are not closed under prefixes, so the child's record without its last
     step may pass the parent's parent by, while the chain never does.
 
-    A descent holds the node it leaves, with the descent's position as its
-    owner, and a chain replay holds the parent's parent; a backtrack to a
-    held parent takes no walk, and every other backtrack replays the chain
-    (see ``_backtrack``), so no backtrack walks toward an ordering.  A
-    child test that must evaluate a third solution drops the held parent
-    first, and a check walk gives up the candidate instead.  Each step
-    takes one child from a fresh scan and drops the scan: a scan held per
-    level would be a stack of solutions.
+    Every backtrack replays the parent's chain from the root and finds the
+    owner of the node it leaves (see ``_backtrack``), so no backtrack walks
+    toward an ordering and no parent is kept for one.  Each step takes one
+    child from a fresh scan and drops the scan: a scan kept per level would
+    be a stack of solutions.
     """
     if stats is None:
         stats = TraversalStats()
     current, odd, j = system.root, False, 0
     chain = record = []  # the root's record and chain are both empty
-    held = []  # the held parent and its owner position, or None
     stats.note_retained(1)
     stats.note_emission()
     yield current
 
     while True:
-        found = next(_children(system, current, j, stats, record, held),
-                     None)
+        found = next(_children(system, current, j, stats, record), None)
         if found is not None:
-            held[:] = current, found[0]
-            _, current, record = found
+            current, record = found
             chain.append(record[-1])
             odd, j = not odd, 0
             if not odd:
@@ -528,7 +485,7 @@ def reverse_search(system: SetSystem,
             yield current
         if current == system.root:
             return
-        current, j, record = _backtrack(system, current, chain, held, stats)
+        current, j, record = _backtrack(system, current, chain, stats)
         odd = not odd
 
 

@@ -251,6 +251,31 @@ def test_criterion_6_delay_stays_flat_across_the_run(big_instance_run):
     assert last_max <= 5.0 * first_max, (first_max, last_max)
 
 
+@pytest.mark.slow
+def test_work_between_emissions_is_bounded_by_counts(big_instance_run):
+    # The delay bound of criterion 6 in work counts, which no host's speed
+    # moves, read from the gap lists the shared run recorded.  A gap spans
+    # the scans of at most two nodes and at most two backtracks; each
+    # candidate builds at most one ordering and takes at most one check
+    # walk, and every walk stops within the depth of the tree, which is at
+    # most the ground size (70 non-edges).  Measured: max degree 28, gap
+    # maxima of 2 backtrack walks, 12 check walks, 54 orderings and 88
+    # walk steps.
+    stats = big_instance_run["rev_stats"]
+    g = big_instance_run["graph"]
+    max_degree = max(f.size() for f in big_instance_run["emissions"])
+    ground = len(non_edges(g))
+    assert (max_degree, ground) == (28, 70)
+    assert len(stats.gap_walk_steps) == BIG_INSTANCE_SOLUTIONS
+    assert max(stats.gap_backtrack_walks) <= 2
+    assert max(stats.gap_check_walks) <= 2 * max_degree
+    assert max(stats.gap_orderings) <= 2 * max_degree
+    for steps, checks, backs in zip(stats.gap_walk_steps,
+                                    stats.gap_check_walks,
+                                    stats.gap_backtrack_walks):
+        assert steps <= (checks + backs) * ground
+
+
 def test_criterion_7_generic_engine_enumerates_k_subsets():
     # Expected families come straight from itertools.combinations; the swap
     # system supplies no specialized step, so the generic fallback drives

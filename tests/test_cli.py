@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import collections
 import importlib
 import io
 import json
 import pathlib
+import random
 import re
 import shutil
 import subprocess
@@ -537,3 +539,85 @@ def test_console_script_smoke():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == "1-3\n0-2\n"
+
+
+# The seeded CLI fuzz corpus: the README transcripts' inputs and small
+# edge-list and DIMACS texts, each mutated a few times.  Integers put in
+# place of a token are either past what a vertex list can hold or
+# nonpositive, so a mutated DIMACS header fails fast instead of asking for
+# a graph with millions of non-edges.
+FUZZ_SEED = 20261022
+FUZZ_TEXTS = 2000
+FUZZ_INTEGERS = ("1000000000000000", "10000000000000000000", str(2**64),
+                 "-1", "-10000000000000000000", "0")
+FUZZ_BASES = (
+    C5_DIMACS,
+    "a b\nb c # comment\nc d\nd e\ne a\na c\n",
+    "# a path\nx y\ny z\n",
+    "p edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n",
+    "c empty\np edge 3 0\n",
+    "p edge 6 6\nc hexagon\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 6\ne 6 1\n",
+)
+
+
+def _fuzz_mutate(text: str, rng) -> str:
+    """``text`` with one to three seeded mutations: an inserted byte-order
+    mark, NUL or CR; a token replaced by a huge, negative or zero integer; a
+    deleted span; a truncation; shuffled lines; a repeated line."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(7)
+        at = rng.randint(0, len(text))
+        if kind == 0:
+            text = text[:at] + rng.choice("\ufeff\x00\r") + text[at:]
+        elif kind == 1:
+            tokens = re.split(r"(\s+)", text)
+            spots = [i for i, t in enumerate(tokens) if t and not t.isspace()]
+            if spots:
+                tokens[rng.choice(spots)] = rng.choice(FUZZ_INTEGERS)
+            text = "".join(tokens)
+        elif kind == 2:
+            text = text[:at] + text[at + rng.randint(1, 6):]
+        elif kind == 3:
+            text = text[:at]
+        else:
+            lines = text.splitlines(keepends=True)
+            if kind == 4:
+                rng.shuffle(lines)
+            elif lines:
+                i = rng.randrange(len(lines))
+                lines[i:i] = [lines[i]] * rng.randint(1, 3)
+            text = "".join(lines)
+    return text
+
+
+def test_seeded_fuzz_corpus_never_escapes_the_exit_codes():
+    # Every mutated text, under every command and input format, ends in an
+    # exit code with no exception: 2 with one "error:" line on stderr, else
+    # 0 with nothing on stderr (these graphs are small, so verify's oracle
+    # check must pass).  count agrees with enumerate under the same limit.
+    rng = random.Random(FUZZ_SEED)
+    transcripts = [codecs.decode(printed, "unicode_escape") for printed, _, _
+                   in TRANSCRIPT.findall(README.read_text(encoding="utf-8"))]
+    bases = [*transcripts, *FUZZ_BASES]
+    codes = collections.Counter()
+    for _ in range(FUZZ_TEXTS):
+        text = _fuzz_mutate(rng.choice(bases), rng)
+        for input_format in cli.INPUT_FORMATS:
+            results = {}
+            for command in ("enumerate", "count", "verify"):
+                code, out, err = _run(RunConfig(
+                    command=command, text=text, input_format=input_format,
+                    limit=5))
+                assert "Traceback" not in err, (command, text)
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and \
+                        err.count("\n") == 1, (command, text, err)
+                else:
+                    assert (code, err) == (0, ""), (command, text, out)
+                codes[code] += 1
+                results[command] = code, out
+            if results["count"][0] == 0:
+                emitted = results["enumerate"][1].count("\n")
+                assert results["count"][1] == f"{emitted}\n", text
+    # The corpus reaches both outcomes.
+    assert codes[0] and codes[2], codes

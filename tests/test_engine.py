@@ -211,8 +211,8 @@ def test_gap_counters_are_bounded():
     assert max(stats.gap_backtrack_walks) <= 2
     assert max(stats.gap_check_walks) <= 2 * max_degree
     # A gap spans the scans of at most two nodes, each candidate building at
-    # most one ordering, plus one ordering per backtrack.
-    assert max(stats.gap_orderings) <= 2 * max_degree + 2
+    # most one ordering; no backtrack builds one.
+    assert max(stats.gap_orderings) <= 2 * max_degree
     # Check and backtrack walks both stop within the depth of the tree.
     for steps, checks, backs in zip(stats.gap_walk_steps,
                                     stats.gap_check_walks,
@@ -460,12 +460,12 @@ def test_ordering_prefixes_are_tuples(monkeypatch):
 
 def test_only_child_tests_build_orderings():
     # Every candidate the scan tests builds one ordering, and no backtrack
-    # builds one: each replays the node's ancestor chain or returns to the
-    # held parent, with path records (the chordal system) or without them
-    # (the generic fallback, which holds no parent past a child test).
+    # builds one: each replays the node's ancestor chain, with path records
+    # (the chordal system) or without them (the generic fallback).  Each of
+    # the 41 non-root nodes is left by one backtrack walk.
     g = helpers.cycle_graph(7)
     plain = chordal_completion_system(g)
-    for system, kinds in ((plain, (18, 23)), (_generic(plain), (41, 0))):
+    for system in (plain, _generic(plain)):
         counted, calls = _count_calls(system, "ordering")
         stats = TraversalStats()
         sols = list(reverse_search(counted, stats))
@@ -474,7 +474,7 @@ def test_only_child_tests_build_orderings():
             1 for f in sols for j in range(plain.neighbor_count(f))
             if plain.neighbor_at(f, j) not in (plain.root, f))
         assert calls[0] == stats.orderings == candidates == 164
-        assert (stats.backtrack_walks, stats.held_backtracks) == kinds
+        assert stats.backtrack_walks == 41
     # No ordering is built for the root, which is never a candidate.
     system = chordal_completion_system(_relabelled_cubic14(11))
     at_root = []
@@ -491,52 +491,55 @@ def test_only_child_tests_build_orderings():
 
 
 def test_reverse_search_work_counters_are_frozen():
-    # The per-layer benchmark metrics read these counters; a change that
-    # alters the traversal's work on purpose updates them.  Every child test
-    # that reaches the path test is settled by a check walk or by the
-    # scanning node's path record; the generic system has none to follow.
-    # Every backtrack replays the ancestor chain or returns to the held
-    # parent.  On the first 100 solutions of a relabelled cubic14, a
-    # record's root step skips only the elements its own bitmask holds, no
-    # longer every element outside the root's set: six child tests that
-    # the root's set settled take a check walk again (23 -> 29), each
-    # stopping at the root, so walk steps stay 524 and path tests 1,050,
+    # The per-layer benchmark metrics read these counters; a change that alters
+    # the traversal's work on purpose updates them.  Every child test that
+    # reaches the path test is settled by a check walk or by the scanning
+    # node's path record; the generic system has none to follow.  Every
+    # backtrack replays the ancestor chain.  On the first 100 solutions of a
+    # relabelled cubic14, a record's root step skips only the elements its own
+    # bitmask holds, no longer every element outside the root's set: six child
+    # tests that the root's set settled take a check walk again (23 -> 29),
+    # each stopping at the root, so walk steps stay 524 and path tests 1,050,
     # and the root's ordering is no longer built (2,166 -> 2,165).  Handing
     # each parent its ancestor chain at a backtrack, and holding the
-    # grandparent at every replay, cut backtrack walks 51 -> 42 and walk
-    # steps 735 -> 524.  Replaying the chain in the generic system too,
-    # instead of walking toward the node's ordering, builds no ordering at a
-    # backtrack (176 -> 171) and steps along the tree path to the parent
-    # (walk steps 63 -> 44).
+    # grandparent at every replay, cut backtrack walks 51 -> 42 and walk steps
+    # 735 -> 524.  Replaying the chain in the generic system too, instead of
+    # walking toward the node's ordering, builds no ordering at a backtrack
+    # (176 -> 171) and steps along the tree path to the parent (walk steps
+    # 63 -> 44).  With no parent kept for a backtrack, every backtrack is a
+    # chain replay (C7 backtrack walks 18 -> 41, cubic14 walk steps 524 ->
+    # 968), and no check walk computes a found child again (cubic14 neighbor
+    # evaluations 2,189 -> 2,185).
     cases = [
         (chordal_completion_system(helpers.cycle_graph(7)), None,
-         (42, 168, 164, 0, 18, 28, 3), 164, 41),
+         (42, 168, 164, 0, 41, 79, 3), 164),
         (chordal_completion_system(Graph(11, OWNER_BELOW_STEP_EDGES)), None,
-         (21, 240, 207, 1, 9, 6, 3), 65, 20),
+         (21, 240, 207, 1, 20, 21, 3), 65),
         (helpers.subset_swap_system(6, 3), None,
-         (20, 791, 171, 81, 19, 44, 3), 81, 19),
+         (20, 791, 171, 81, 19, 44, 3), 81),
         (chordal_completion_system(_relabelled_cubic14(11)), 100,
-         (100, 2189, 2165, 29, 42, 524, 3), 1050, 95),
+         (100, 2185, 2165, 29, 95, 968, 3), 1050),
     ]
     names = ("solutions", "neighbor_evals", "orderings", "check_walks",
              "backtrack_walks", "walk_steps", "peak_retained")
-    for system, limit, frozen, path_tests, backtracks in cases:
+    for system, limit, frozen, path_tests in cases:
         stats = TraversalStats()
         for _ in zip(range(limit or 10**9), reverse_search(system, stats)):
             pass
         assert stats.as_dict() == dict(zip(names, frozen))
         assert stats.check_walks + stats.record_verdicts == path_tests
-        assert stats.backtrack_walks + stats.held_backtracks == backtracks
 
 
 def test_every_step_is_neighbor_at_at_the_step_position():
     # Scans and walks both go through neighbor_at, so a reverse search makes
     # one call per neighbor evaluation and one per walk step, and never
-    # calls the next_step field.
+    # calls the next_step field.  Since every backtrack replays the chain,
+    # C7 makes 247 calls (196 before) and the owner-below-step graph 261
+    # (246 before).
     def no_next_step(*args):
         raise AssertionError("the engine called next_step")
-    cases = [(helpers.cycle_graph(7), 168 + 28),
-             (Graph(11, OWNER_BELOW_STEP_EDGES), 240 + 6)]
+    cases = [(helpers.cycle_graph(7), 168 + 79),
+             (Graph(11, OWNER_BELOW_STEP_EDGES), 240 + 21)]
     for g, frozen in cases:
         system = dataclasses.replace(chordal_completion_system(g),
                                      next_step=no_next_step)
@@ -829,11 +832,11 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
         up, j, handed[0] = real_backtrack(*args)
         return up, j, handed[0]
 
-    def checked(system, f, j, stats, record, held):
+    def checked(system, f, j, stats, record):
         verdicts, walks = stats.record_verdicts, stats.check_walks
-        found = real(system, f, j, stats, record, held)
+        found = real(system, f, j, stats, record)
         if stats.record_verdicts > verdicts:
-            walked = real(system, f, j, TraversalStats(), None, [])
+            walked = real(system, f, j, TraversalStats(), None)
             assert (found is None) == (walked is None)
             outcomes["child" if found else "not a child"] += 1
             if record and record is handed[0]:
@@ -844,8 +847,8 @@ def test_path_records_decide_child_tests_as_the_root_walk_does(monkeypatch):
             _assert_canonical_record(system, *found)
         return found
 
-    def walking(system, f, j, stats, record, held):
-        return real(system, f, j, stats, None, held)
+    def walking(system, f, j, stats, record):
+        return real(system, f, j, stats, None)
 
     monkeypatch.setattr(chordalenum.engine, "_backtrack", backtrack)
     rng = random.Random(196418)
@@ -890,7 +893,7 @@ def test_owner_query_names_every_producing_position():
             nbs = [system.neighbor_at(f, j) for j in range(count)]
             for j, cand in enumerate(nbs):
                 assert chordalenum.engine._first_position(
-                    system, f, cand, j, TraversalStats(), []) == \
+                    system, f, cand, j, TraversalStats()) == \
                     helpers.first_position_by_scan(system, f, cand, j)
                 if system.producing_positions is None:
                     continue
@@ -906,16 +909,13 @@ def test_owner_query_names_every_producing_position():
 
 
 def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
-    # Each backtrack, held or replayed from the ancestor chain, in a system
-    # with a step_position and in one without, lands on parent() and
-    # resumes one past the position that owns the node it leaves.  No
-    # backtrack builds an ordering (the systems' ordering raises while one
-    # runs), and the record a backtrack hands the parent is its ancestor
-    # chain.  A traversal that holds no parent emits the same sequence and
-    # settles the same child tests by records and by check walks, walking
-    # more.
+    # Each backtrack replays the ancestor chain, in a system with a
+    # step_position and in one without; it lands on parent() and resumes
+    # one past the position that owns the node it leaves.  No backtrack
+    # builds an ordering (the systems' ordering raises while one runs), and
+    # the record a backtrack hands the parent is its ancestor chain.  A full
+    # traversal emits every solution once.
     real_backtrack = chordalenum.engine._backtrack
-    real_is_child = chordalenum.engine._is_child
     kinds = collections.Counter()
     backtracking = [False]
 
@@ -925,13 +925,14 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
             return system.ordering(f)
         return dataclasses.replace(system, ordering=ordering)
 
-    def checked(system, node, chain, held, stats):
-        before = stats.held_backtracks
+    def checked(system, node, chain, stats):
+        step = chain[-1][2]
         backtracking[0] = True
-        up, j, record = real_backtrack(system, node, chain, held, stats)
+        up, j, record = real_backtrack(system, node, chain, stats)
         backtracking[0] = False
-        kinds["held" if stats.held_backtracks > before else "replay",
-              "generic" if system.step_position is None else "stepped"] += 1
+        kinds["generic" if system.step_position is None else "stepped"] += 1
+        if j - 1 < step:
+            kinds["owner below the step"] += 1
         assert up == parent(system, node)
         assert j - 1 == helpers.first_position_by_scan(
             system, up, node, system.neighbor_count(up))
@@ -939,43 +940,20 @@ def test_backtracks_restore_the_parent_as_the_walk_does(monkeypatch):
         _assert_ancestor_chain(system, up, record)
         return up, j, record
 
-    def holding_none_backtrack(system, node, chain, held, stats):
-        held.clear()
-        return checked(system, node, chain, held, stats)
-
-    def holding_none(system, f, j, stats, record, held):
-        return real_is_child(system, f, j, stats, record, [])
-
-    # Relabelling 56 returns early on to a held parent that the chain
-    # replay held and whose owner lies below the position of its step.
+    monkeypatch.setattr(chordalenum.engine, "_backtrack", checked)
+    # Relabelling 56 backtracks early on past a node whose owner lies below
+    # the position of its step.
     runs = [_owner_corpus(), [chordal_completion_system(_relabelled_cubic14(s))
                               for s in (0, 1, 56)]]
     for systems, limit in zip(runs, (None, 250)):
-        for system in map(no_ordering_in_backtracks, systems):
-            results = []
-            for backtrack, is_child in ((checked, real_is_child),
-                                        (holding_none_backtrack,
-                                         holding_none)):
-                monkeypatch.setattr(chordalenum.engine, "_backtrack",
-                                    backtrack)
-                monkeypatch.setattr(chordalenum.engine, "_is_child", is_child)
-                stats = TraversalStats()
-                search = reverse_search(system, stats)
-                results.append(([f for _, f in zip(range(limit or 10**9),
-                                                   search)], stats))
-            (held_run, held_stats), (walk_run, walk_stats) = results
-            assert held_run == walk_run
-            assert (held_stats.check_walks, held_stats.record_verdicts) == \
-                (walk_stats.check_walks, walk_stats.record_verdicts)
-            assert walk_stats.held_backtracks == 0
-            assert held_stats.backtrack_walks + held_stats.held_backtracks \
-                == walk_stats.backtrack_walks
-            assert held_stats.walk_steps <= walk_stats.walk_steps
-            assert held_stats.orderings == walk_stats.orderings
-    # The generic systems' child tests drop the held parent before any
-    # backtrack here, so all of their backtracks replay.
-    assert min(kinds[k] for k in (("held", "stepped"), ("replay", "stepped"),
-                                  ("replay", "generic"))) > 0, kinds
+        for system in systems:
+            search = reverse_search(no_ordering_in_backtracks(system))
+            run = [f for _, f in zip(range(limit or 10**9), search)]
+            assert len(run) == len(set(run))
+            if limit is None:
+                assert set(run) == set(visited_set_search(system))
+    assert min(kinds[k] for k in ("stepped", "generic",
+                                  "owner below the step")) > 0, kinds
 
 
 class _Tracked:
@@ -1015,8 +993,8 @@ def _tracked_system(system: SetSystem, live) -> SetSystem:
 def test_live_solutions_at_emissions_are_counted_independently():
     # peak_retained comes from the traversal's own count; this one does not.
     # With the consumer's reference dropped and a collection run, the only
-    # solutions alive at an emission besides the system's root are the
-    # current node and its parent, the held one.
+    # solution alive at an emission besides the system's root is the current
+    # node: no parent is kept for a backtrack.
     rng = random.Random(832040)
     graphs = [helpers.cycle_graph(7), *(helpers.random_graph_at_most(
         rng, rng.randint(4, 9), 12) for _ in range(20))]
@@ -1028,15 +1006,14 @@ def test_live_solutions_at_emissions_are_counted_independently():
         emitted = 0
         for f in reverse_search(system):
             emitted += 1
-            allowed = {f.inner} if f is system.root else {
-                f.inner, parent(plain, f.inner)}
+            expected = [] if f is system.root else [f.inner]
             f = None
             gc.collect()
             alive = [x.inner for x in live if x is not system.root]
-            assert len(alive) <= 2 and set(alive) <= allowed, g.edges
+            assert alive == expected, g.edges
             peak = max(peak, len(alive))
         assert emitted == len(set(visited_set_search(plain)))
-    assert peak == 2
+    assert peak == 1
 
 
 def test_live_solutions_at_neighbor_calls_are_counted():
@@ -1097,12 +1074,13 @@ def test_walk_counts_at_forty_vertices_are_frozen():
     # counts of the first 30 solutions of a 40-vertex cubic graph, where
     # walks are longer: 5,615 steps and 942 check walks when every child
     # test walked, 2,330 steps before backtracks replayed the ancestor
-    # chain.  A change that alters them on purpose updates them.
+    # chain, and 2,215 while a backtrack could return to a held parent
+    # without a walk.  A change that alters them on purpose updates them.
     stats = TraversalStats()
     search = reverse_search(chordal_completion_system(Graph(40, CUBIC40_EDGES)),
                             stats)
     fills = [f.fill_edges for _, f in zip(range(30), search)]
     digest = hashlib.sha256(repr(fills).encode()).hexdigest()[:16]
     assert (stats.solutions, stats.walk_steps, stats.check_walks,
-            stats.record_verdicts) == (30, 2215, 69, 873)
+            stats.record_verdicts) == (30, 2359, 69, 873)
     assert digest == "072c727d1b13ce00"

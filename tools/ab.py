@@ -24,14 +24,15 @@ A's) of those ratios.  Under that line it prints the same figures for each
 side's second run over its first, an A/A and a B/B comparison that shows
 the noise of this very run beside the result.  For the reverse-search and
 visited-set workloads it then prints each side's ``TraversalStats.as_dict()``
-and, where that side's ``TraversalStats`` has them, its ``record_verdicts``
-and ``held_backtracks``, from its first run of every input, summed over the
-inputs (``peak_retained`` is their maximum), and whether the two sides'
-counters are identical: an exact work-count effect shows there without the
-timing noise.  Last it prints each side's ``tracemalloc`` peak from one more
-run of the first input, untimed, so that what a cache costs in memory shows
-beside its CPU ratio.  It exits 1 if any digest differs.  Standard library
-and git only.
+and, where that side's ``TraversalStats`` has them, the ``EXTRA_COUNTERS``
+(``record_verdicts``, and ``held_backtracks`` in trees from before every
+backtrack replayed the ancestor chain), from its first run of every input,
+summed over the inputs (``peak_retained`` is their maximum), and whether the
+two sides' counters are identical: an exact work-count effect shows there
+without the timing noise.  Last it prints each side's ``tracemalloc`` peak
+from one more run of the first input, untimed, so that what a cache costs in
+memory shows beside its CPU ratio.  It exits 1 if any digest differs.
+Standard library and git only.
 
 ``cubic14_rs`` enumerates the benchmark's prefix of each input
 (``Workload.limit``, 250 solutions); ``cubic14_vs`` is cut to its first
@@ -73,8 +74,11 @@ INPUTS = {"cubic14_rs": 40, "cubic14_vs": 12, "verify_small": 2000,
           "scale_rs": 6}
 VS_PREFIX = 2000  # cubic14_vs solutions enumerated per input
 SCALE_PREFIX = 25  # scale_rs solutions enumerated per input
-# Counters that as_dict() leaves out: check_walks + record_verdicts is the
-# number of path tests, backtrack_walks + held_backtracks of backtracks.
+# Counters that as_dict() leaves out, each printed for a side whose
+# TraversalStats has it: check_walks + record_verdicts is the number of path
+# tests.  held_backtracks exists only in older trees, which returned to a
+# held parent without a walk; there backtrack_walks + held_backtracks is the
+# number of backtracks, and in newer trees backtrack_walks alone.
 EXTRA_COUNTERS = ("record_verdicts", "held_backtracks")
 
 
